@@ -11,11 +11,16 @@ repo root, enforce:
 2. the run's wall clock has not regressed more than MAX_WALL_REGRESSION
    times the committed baseline (a coarse tripwire; machines differ, so
    the bound is deliberately loose);
-3. answering the SBR/OBR/CCFC measurement cells is at least
-   MIN_MEASURE_SPEEDUP times faster through the fast path than through
-   wire-level simulation, compared within this job via the derived
-   "measure" phase — the like-for-like basis (Fig 7 flood cells simulate
-   identically in both modes).
+3. the fast path's time answering the SBR/OBR/CCFC measurement cells
+   (the derived "measure" phase) has not regressed more than
+   MAX_WALL_REGRESSION times the committed baseline's.  The exact-mode
+   "measure" phase of the same job is printed next to it as the
+   exact/fast ratio, for information only.  That ratio used to be gated
+   at >= 5x; once multipart/byteranges bodies became run-length encoded,
+   wire-level simulation of the OBR cells got over 10x cheaper and the
+   ratio fell to about 1x.  A floor on the ratio would fail because
+   simulation got faster, so the gate checks the regression it stood in
+   for.
 
 All three files must carry the current benchmark schema version: the
 run-all grid gained CCFC cells in schema version 2, so cell counts and
@@ -35,11 +40,8 @@ import sys
 
 from repro.reporting.bench import BenchReport, BenchSchemaError, load_bench
 
-#: The acceptance floor: fast path must answer the measurement cells at
-#: least this many times faster than simulating them.
-MIN_MEASURE_SPEEDUP = 5.0
-
-#: Wall-clock tripwire versus the committed baseline.
+#: Wall-clock tripwire versus the committed baseline (whole run and
+#: measurement phase alike).
 MAX_WALL_REGRESSION = 2.0
 
 
@@ -67,15 +69,15 @@ def check(current: BenchReport, exact: BenchReport, baseline: BenchReport) -> in
             f"missing measure phases (fast={fast_measure}, exact={exact_measure})"
         )
     else:
-        speedup = exact_measure / fast_measure
         print(
-            f"measurement-cell speedup: {speedup:.1f}x "
-            f"(exact {exact_measure:.3f}s / fast {fast_measure:.3f}s)"
+            f"measurement cells: fast {fast_measure:.3f}s "
+            f"(baseline {baseline.measure_s:.3f}s); exact {exact_measure:.3f}s, "
+            f"exact/fast {exact_measure / fast_measure:.1f}x (informational)"
         )
-        if speedup < MIN_MEASURE_SPEEDUP:
+        if baseline.measure_s > 0 and fast_measure > MAX_WALL_REGRESSION * baseline.measure_s:
             failures.append(
-                f"fast path is only {speedup:.1f}x faster than simulation "
-                f"on measurement cells (floor: {MIN_MEASURE_SPEEDUP:.0f}x)"
+                f"measurement phase regressed >{MAX_WALL_REGRESSION:.0f}x: "
+                f"{fast_measure:.3f}s vs baseline {baseline.measure_s:.3f}s"
             )
 
     print(

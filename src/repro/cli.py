@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="batch worker threads (1 runs batches on the event loop)",
+        help="threads in the pool that runs batches off the event loop",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=8,

@@ -11,7 +11,8 @@ exercise, at wire-byte accuracy:
   with exact wire serialization and size accounting.
 * :mod:`repro.http.ranges` — the RFC 7233 ``Range`` / ``Content-Range``
   grammar: parsing, formatting, validation, and satisfiability resolution.
-* :mod:`repro.http.multipart` — the ``multipart/byteranges`` codec.
+* :mod:`repro.http.multipart` — the ``multipart/byteranges`` codec, with
+  runs of identical parts encoded once.
 * :mod:`repro.http.grammar` — deterministic generation of valid Range
   headers from the RFC ABNF (the paper's first-experiment dataset).
 """

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RangeNotSatisfiableError, RangeParseError
@@ -348,6 +349,15 @@ def coalesce_ranges(resolved: Sequence[ResolvedRange]) -> List[ResolvedRange]:
         else:
             merged.append(current)
     return merged
+
+
+def group_ranges(resolved: Sequence[ResolvedRange]) -> List[Tuple[ResolvedRange, int]]:
+    """Run-length encode consecutive equal ranges as ``(range, count)``.
+
+    An OBR request of ``n`` overlapping ``0-`` specs resolves to one run
+    of ``n``, so per-range work downstream is done once per run.
+    """
+    return [(r, sum(1 for _ in run)) for r, run in groupby(resolved)]
 
 
 def covering_span(resolved: Sequence[ResolvedRange]) -> ResolvedRange:

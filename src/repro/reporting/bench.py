@@ -21,10 +21,10 @@ Phase vocabulary (written by :func:`repro.runner.runall.run_all`):
 * ``static`` — the Table VII recommendation derivation;
 * ``measure`` (derived here) — everything spent answering SBR/OBR/CCFC
   measurement cells: ``fastpath + validate`` plus the per-cell seconds
-  of simulated measurement cells.  This is the basis of the CI speedup
-  gate, because it compares like with like — the Fig 7 flood cells are
-  time-stepped bandwidth simulations outside the fast path's scope and
-  cost the same in both modes.
+  of simulated measurement cells.  This is the basis of the CI
+  measurement-phase gate, because it compares like with like — the Fig 7
+  flood cells are time-stepped bandwidth simulations outside the fast
+  path's scope and cost the same in both modes.
 """
 
 from __future__ import annotations

@@ -369,6 +369,8 @@ class AnalysisService:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return self._error(StatusCode.BAD_REQUEST, f"malformed JSON: {exc}")
+        except RecursionError:
+            return self._error(StatusCode.BAD_REQUEST, "malformed JSON: nested too deeply")
         if not isinstance(payload, dict) or not isinstance(
             payload.get("items"), list
         ):

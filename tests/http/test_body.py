@@ -8,6 +8,7 @@ from repro.http.body import (
     Body,
     BytesBody,
     CompositeBody,
+    RepeatedBody,
     SyntheticBody,
     make_body,
 )
@@ -140,6 +141,61 @@ class TestCompositeBody:
         )
 
 
+_PIECES = st.one_of(
+    st.binary(max_size=12).map(BytesBody),
+    st.tuples(
+        st.integers(min_value=0, max_value=40), st.binary(min_size=1, max_size=7)
+    ).map(lambda t: SyntheticBody(t[0], pattern=t[1])),
+    st.lists(st.binary(max_size=6), max_size=4).map(CompositeBody),
+)
+
+
+class TestRepeatedBody:
+    def test_length_and_materialize(self):
+        body = RepeatedBody(BytesBody(b"abc"), 4)
+        assert len(body) == 12
+        assert body.materialize() == b"abc" * 4
+
+    def test_zero_count_is_empty(self):
+        body = RepeatedBody(BytesBody(b"abc"), 0)
+        assert len(body) == 0
+        assert body.materialize() == b""
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            RepeatedBody(BytesBody(b"a"), -1)
+
+    def test_length_is_arithmetic(self):
+        # 10,000 one-megabyte pieces: sized without touching any of them.
+        body = RepeatedBody(SyntheticBody(1 << 20), 10_000)
+        assert len(body) == 10_000 << 20
+        assert len(body.slice(5, (10_000 << 20) - 5)) == (10_000 << 20) - 10
+
+    def test_slice_keeps_whole_pieces_repeated(self):
+        body = RepeatedBody(BytesBody(b"0123"), 100).slice(2, 398)
+        assert isinstance(body, CompositeBody)
+        assert [type(p) for p in body.parts] == [BytesBody, RepeatedBody, BytesBody]
+        assert body.parts[1].count == 98
+
+    @given(
+        piece=_PIECES,
+        count=st.integers(min_value=0, max_value=9),
+        start=st.integers(min_value=-5, max_value=400),
+        stop=st.integers(min_value=-5, max_value=400),
+    )
+    @settings(max_examples=300)
+    def test_slice_property(self, piece, count, start, stop):
+        body = RepeatedBody(piece, count)
+        whole = piece.materialize() * count
+        assert body.materialize() == whole
+        assert len(body) == len(whole)
+        sliced = body.slice(start, stop)
+        expected_start = max(0, min(start, len(whole)))
+        expected_stop = max(expected_start, min(stop, len(whole)))
+        assert sliced.materialize() == whole[expected_start:expected_stop]
+        assert len(sliced) == expected_stop - expected_start
+
+
 class TestMakeBody:
     def test_none_is_empty(self):
         assert len(make_body(None)) == 0
@@ -168,5 +224,10 @@ class TestMakeBody:
             make_body(3.14)
 
     def test_all_bodies_implement_interface(self):
-        for body in (BytesBody(b"a"), SyntheticBody(1), CompositeBody([b"a"])):
+        for body in (
+            BytesBody(b"a"),
+            SyntheticBody(1),
+            CompositeBody([b"a"]),
+            RepeatedBody(BytesBody(b"a"), 2),
+        ):
             assert isinstance(body, Body)

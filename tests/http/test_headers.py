@@ -1,9 +1,28 @@
 """Unit tests for the ordered, case-insensitive header map."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import HeaderError
 from repro.http.headers import Headers
+
+_FORBIDDEN = set(' \t\r\n:"(),/;<=>?@[\\]{}')
+
+
+def _loop_accepts(name):
+    """The per-character header-name check the token regex replaced."""
+    return bool(name) and all(
+        ch not in _FORBIDDEN and 0x21 <= ord(ch) <= 0x7E for ch in name
+    )
+
+
+def _accepted(name):
+    try:
+        Headers([(name, "v")])
+    except HeaderError:
+        return False
+    return True
 
 
 class TestBasicOperations:
@@ -87,6 +106,21 @@ class TestValidation:
     def test_invalid_name_characters_rejected(self, bad):
         with pytest.raises(HeaderError):
             Headers([(bad, "v")])
+
+    @given(
+        name=st.one_of(
+            st.text(),
+            st.text(alphabet=st.characters(max_codepoint=0x7F)),
+            st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E)),
+        )
+    )
+    @settings(max_examples=500)
+    def test_name_check_matches_the_character_loop(self, name):
+        assert _accepted(name) == _loop_accepts(name)
+
+    @pytest.mark.parametrize("name", ["X-Ok!#$%&'*+-.^_`|~09az", "a\n", "a\x7f", "é"])
+    def test_name_check_edge_cases(self, name):
+        assert _accepted(name) == _loop_accepts(name)
 
     @pytest.mark.parametrize("bad", ["a\r\nb", "a\nb", "a\rb"])
     def test_crlf_injection_rejected(self, bad):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.obr import ObrAttack
 from repro.errors import MultipartError
-from repro.http.body import BytesBody, SyntheticBody
+from repro.http.body import BytesBody, RepeatedBody, SyntheticBody
 from repro.http.multipart import (
     DEFAULT_BOUNDARY,
     MultipartByteranges,
@@ -50,6 +51,11 @@ class TestConstruction:
             MultipartByteranges([], boundary="")
         with pytest.raises(MultipartError):
             MultipartByteranges([], boundary="x" * 71)
+
+    def test_empty_run_rejected(self):
+        part = _build(b"ab", [ResolvedRange(0, 1)]).parts[0]
+        with pytest.raises(MultipartError):
+            MultipartByteranges([(part, 0)])
 
     def test_content_type_header(self):
         multipart = _build(b"ab", [ResolvedRange(0, 1)], boundary="XYZ")
@@ -168,3 +174,108 @@ class TestAmplificationArithmetic:
         assert per_part > 1024  # payload plus per-part overhead
         # Linearity: going 10 -> 100 parts adds ten times what 1 -> 10 did.
         assert sizes[2] - sizes[1] == 10 * (sizes[1] - sizes[0])
+
+
+def _naive_encoding(resource: bytes, ranges, boundary: str) -> bytes:
+    """The per-part wire format written out longhand, one part per range."""
+    out = []
+    for r in ranges:
+        out.append(
+            f"--{boundary}\r\nContent-Type: application/octet-stream\r\n"
+            f"Content-Range: bytes {r.start}-{r.end}/{len(resource)}\r\n\r\n".encode()
+        )
+        out.append(resource[r.start:r.end + 1] + b"\r\n")
+    out.append(f"--{boundary}--\r\n".encode())
+    return b"".join(out)
+
+
+_RUNS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=1, max_value=5),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestRunLength:
+    def test_consecutive_equal_ranges_form_one_run(self):
+        ranges = [ResolvedRange(0, 3)] * 4 + [ResolvedRange(1, 2)] + [ResolvedRange(0, 3)] * 2
+        multipart = _build(b"abcd", ranges)
+        assert [count for _, count in multipart.runs] == [4, 1, 2]
+        assert len(multipart) == len(multipart.parts) == 7
+        assert [p.content_range for p in multipart.parts] == ranges
+
+    def test_repeated_run_encodes_as_a_repeated_body(self):
+        multipart = _build(b"abcd", [ResolvedRange(0, 3)] * 50)
+        pieces = multipart.to_body().parts
+        assert len(pieces) == 2  # the run, then the closing delimiter
+        assert isinstance(pieces[0], RepeatedBody) and pieces[0].count == 50
+
+    @given(runs=_RUNS, boundary=st.sampled_from(["B", DEFAULT_BOUNDARY, "x" * 70]))
+    @settings(max_examples=150)
+    def test_matches_the_naive_per_part_encoding(self, runs, boundary):
+        resource = bytes(range(64))
+        ranges = [
+            ResolvedRange(min(a, b), max(a, b)) for a, b, count in runs for _ in range(count)
+        ]
+        multipart = _build(resource, ranges, boundary=boundary)
+        body = multipart.to_body()
+        expected = _naive_encoding(resource, ranges, boundary)
+        assert body.materialize() == expected
+        assert multipart.wire_size() == len(body) == len(expected)
+        assert len(multipart.parts) == len(ranges)
+        parsed = MultipartByteranges.parse(expected, boundary)
+        assert [p.content_range for p in parsed.parts] == ranges
+        assert [p.payload.materialize() for p in parsed.parts] == [
+            resource[r.start:r.end + 1] for r in ranges
+        ]
+
+    @pytest.mark.parametrize("leading", [None, ResolvedRange(1, 1023), ResolvedRange(0, 1023)])
+    @pytest.mark.parametrize("n", [1, 2, 10_000])
+    def test_obr_shapes_agree_with_the_analytic_size(self, leading, n):
+        # The OBR request shapes: n plain 0- parts, or a leading spec
+        # (CDNsun's 1-, or a suffix covering the whole 1 KB resource)
+        # followed by n 0- parts.
+        size = 1024
+        full = ResolvedRange(0, size - 1)
+        ranges = ([leading] if leading is not None else []) + [full] * n
+        multipart = MultipartByteranges.build(
+            resource_body=SyntheticBody(size),
+            ranges=ranges,
+            content_type="application/octet-stream",
+        )
+        assert len(multipart.parts) == len(ranges)
+        expected = multipart_response_size(n, size, size)
+        if leading is not None:
+            expected += multipart_response_size(1, leading.length, size) - (
+                len(DEFAULT_BOUNDARY) + 6
+            )
+        assert multipart.wire_size() == len(multipart.to_body()) == expected
+        if n <= 2:
+            assert multipart.to_body().materialize() == _naive_encoding(
+                SyntheticBody(size).materialize(), ranges, DEFAULT_BOUNDARY
+            )
+
+    @pytest.mark.parametrize(
+        "fcdn,n,distinct",
+        # CDNsun leads with 1- and stays under Akamai's header limit
+        # only below ~5,456 ranges.
+        [("stackpath", 10_000, 1), ("cdnsun", 5_000, 2)],
+    )
+    def test_obr_response_builds_each_distinct_part_header_once(
+        self, monkeypatch, fcdn, n, distinct
+    ):
+        calls = []
+        original = MultipartPart.header_blob
+
+        def counting(part):
+            calls.append(part.content_range)
+            return original(part)
+
+        monkeypatch.setattr(MultipartPart, "header_blob", counting)
+        result = ObrAttack(fcdn, "akamai").run(overlap_count=n)
+        assert result.status == 206
+        assert len(calls) == distinct

@@ -7,6 +7,7 @@ schema version, a missing field, a mistyped count — rather than let the
 gate silently compare garbage.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -235,3 +236,34 @@ class TestCliWritesBench:
         assert bench.label == "run-all-quick-exact"
         assert bench.mode == "exact"
         assert bench.fastpath is None
+
+
+def _load_gate():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "scripts" / "check_bench.py"
+    spec = importlib.util.spec_from_file_location("check_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _with_measure(report, measure_s):
+    return dataclasses.replace(report, phases={**report.phases, "measure": measure_s})
+
+
+class TestCheckBenchGate:
+    def test_exact_about_as_fast_as_fast_passes(self):
+        gate = _load_gate()
+        baseline = _sample_report()
+        exact = _with_measure(_sample_report(mode="exact"), 0.09)
+        assert gate.check(_sample_report(), exact, baseline) == 0
+
+    def test_measure_phase_regression_fails(self, capsys):
+        gate = _load_gate()
+        baseline = _sample_report()
+        slow = _with_measure(baseline, 0.08 * gate.MAX_WALL_REGRESSION * 1.1)
+        exact = _sample_report(mode="exact")
+        assert gate.check(slow, exact, baseline) == 1
+        assert "measurement phase regressed" in capsys.readouterr().err

@@ -59,6 +59,21 @@ class TestRouting:
         )
         assert response.status == 400
 
+    def test_deeply_nested_json_is_400_not_500(self):
+        service = AnalysisService()
+        body = b"[" * 100_000
+        assert len(body) <= service.config.max_body_bytes
+        response = service.handle(
+            HttpRequest(
+                method="POST",
+                target="/v1/analyze",
+                headers=[("Content-Length", str(len(body)))],
+                body=body,
+            )
+        )
+        assert response.status == 400
+        assert "malformed JSON" in body_json(response)["error"]
+
     def test_missing_or_empty_items_are_400(self):
         service = AnalysisService()
         for payload in ({}, {"items": []}, {"items": "x"}, []):
