@@ -9,10 +9,10 @@ sub-1500-byte client traffic, and KeyCDN's doubled client traffic.
 
 import pytest
 
+from repro.reporting.artifacts import fig6a_artifact, fig6b_artifact, fig6c_artifact
 from repro.reporting.figures import default_fig6_sizes, fig6_series
-from repro.reporting.render import render_table
 
-from benchmarks.conftest import benchmark_runner, save_artifact
+from benchmarks.conftest import benchmark_runner, save_paper_artifact
 
 MB = 1 << 20
 
@@ -59,22 +59,5 @@ def test_fig6_sbr_curves(benchmark, output_dir):
     # Fig 6c: origin traffic tracks the resource size for Deletion vendors.
     assert by_vendor["akamai"].origin_traffic[24] == pytest.approx(25 * MB, rel=0.01)
 
-    header = ["size"] + [curve.vendor for curve in series]
-    rows = []
-    for index, size in enumerate(series[0].sizes):
-        rows.append(
-            [f"{size // MB}MB"] + [f"{curve.factors[index]:.0f}" for curve in series]
-        )
-    save_artifact(output_dir, "fig6a_amplification_factors.txt", render_table(header, rows))
-
-    client_rows = [
-        [f"{size // MB}MB"] + [str(curve.client_traffic[index]) for curve in series]
-        for index, size in enumerate(series[0].sizes)
-    ]
-    save_artifact(output_dir, "fig6b_client_traffic.txt", render_table(header, client_rows))
-
-    origin_rows = [
-        [f"{size // MB}MB"] + [str(curve.origin_traffic[index]) for curve in series]
-        for index, size in enumerate(series[0].sizes)
-    ]
-    save_artifact(output_dir, "fig6c_origin_traffic.txt", render_table(header, origin_rows))
+    for artifact in (fig6a_artifact, fig6b_artifact, fig6c_artifact):
+        save_paper_artifact(output_dir, artifact(series))

@@ -9,14 +9,14 @@ the uplink pins at capacity in the paper's m = 11-14 band (7b).
 
 import pytest
 
+from repro.reporting.artifacts import fig7_artifact
 from repro.reporting.figures import fig7_series
 from repro.reporting.paper_values import (
     PAPER_FIG7_FULL_SATURATION_M,
     PAPER_FIG7_NEAR_SATURATION_M,
 )
-from repro.reporting.render import render_sparkline, render_table
 
-from benchmarks.conftest import benchmark_runner, save_artifact
+from benchmarks.conftest import benchmark_runner, save_paper_artifact
 
 MB = 1 << 20
 
@@ -51,17 +51,4 @@ def test_fig7_bandwidth(benchmark, output_dir):
     # m = 15 keeps the uplink pinned.
     assert results[-1].steady_origin_mbps == pytest.approx(1000.0, rel=0.03)
 
-    rendered = render_table(
-        ["m", "origin steady (Mbps)", "client peak (Kbps)", "saturated", "origin Mbps over time"],
-        [
-            [
-                result.m,
-                f"{result.steady_origin_mbps:.1f}",
-                f"{result.peak_client_kbps:.1f}",
-                "yes" if result.saturated else "no",
-                render_sparkline(result.origin_mbps, width=30),
-            ]
-            for result in results
-        ],
-    )
-    save_artifact(output_dir, "fig7_bandwidth.txt", rendered)
+    save_paper_artifact(output_dir, fig7_artifact(results))

@@ -6,11 +6,11 @@ membership (all 13 vulnerable) and per-format policy entries.
 """
 
 from repro.core.feasibility import survey
+from repro.reporting.artifacts import table1_artifact
 from repro.reporting.paper_values import PAPER_SBR_VULNERABLE
-from repro.reporting.render import render_table
 from repro.reporting.tables import table1_rows
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import save_paper_artifact
 
 
 def _regenerate():
@@ -27,15 +27,4 @@ def test_table1_sbr_feasibility(benchmark, output_dir):
         "SBR-vulnerable"
     )
 
-    rendered = render_table(
-        ["CDN", "Vulnerable", "Vulnerable Range Format -> Policy"],
-        [
-            [
-                row.display_name,
-                "yes" if row.vulnerable else "no",
-                "; ".join(f"{fmt} ({policy})" for fmt, policy in row.vulnerable_formats),
-            ]
-            for row in rows
-        ],
-    )
-    save_artifact(output_dir, "table1_sbr_feasibility.txt", rendered)
+    save_paper_artifact(output_dir, table1_artifact(rows))

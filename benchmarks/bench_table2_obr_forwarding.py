@@ -6,11 +6,11 @@ the Bypass rule), and StackPath.
 """
 
 from repro.core.feasibility import survey
+from repro.reporting.artifacts import table2_artifact
 from repro.reporting.paper_values import PAPER_OBR_FRONTENDS
-from repro.reporting.render import render_table
 from repro.reporting.tables import table2_rows
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import save_paper_artifact
 
 
 def _regenerate():
@@ -32,15 +32,4 @@ def test_table2_obr_forwarding(benchmark, output_dir):
         "only Cloudflare's front-end laziness is config-conditional (*)"
     )
 
-    rendered = render_table(
-        ["CDN", "Lazy Multi-Range Formats", "Conditional"],
-        [
-            [
-                row.display_name,
-                "; ".join(row.lazy_formats),
-                "(*)" if row.vendor in conditional else "",
-            ]
-            for row in rows
-        ],
-    )
-    save_artifact(output_dir, "table2_obr_forwarding.txt", rendered)
+    save_paper_artifact(output_dir, table2_artifact(rows))

@@ -6,11 +6,11 @@ StackPath.
 """
 
 from repro.core.feasibility import survey
+from repro.reporting.artifacts import table3_artifact
 from repro.reporting.paper_values import PAPER_OBR_BACKENDS
-from repro.reporting.render import render_table
 from repro.reporting.tables import table3_rows
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import save_paper_artifact
 
 
 def _regenerate():
@@ -27,15 +27,4 @@ def test_table3_obr_replying(benchmark, output_dir):
     azure = next(row for row in rows if row.vendor == "azure")
     assert azure.part_limit == 64, "Azure must cap multipart replies at 64 parts"
 
-    rendered = render_table(
-        ["CDN", "Response Format"],
-        [
-            [
-                row.display_name,
-                "n-part response (overlapping)"
-                + (f", n <= {row.part_limit}" if row.part_limit else ""),
-            ]
-            for row in rows
-        ],
-    )
-    save_artifact(output_dir, "table3_obr_replying.txt", rendered)
+    save_paper_artifact(output_dir, table3_artifact(rows))

@@ -5,11 +5,11 @@ compares the measured amplification factor with the paper's, enforcing
 the per-vendor tolerance bands documented in EXPERIMENTS.md.
 """
 
+from repro.reporting.artifacts import table4_artifact
 from repro.reporting.paper_values import PAPER_TABLE4_FACTORS
-from repro.reporting.render import render_table
 from repro.reporting.tables import table4_rows
 
-from benchmarks.conftest import benchmark_runner, save_artifact
+from benchmarks.conftest import benchmark_runner, save_paper_artifact
 
 MB = 1 << 20
 SIZES = (1 * MB, 10 * MB, 25 * MB)
@@ -27,7 +27,6 @@ def _regenerate():
 def test_table4_sbr_factors(benchmark, output_dir):
     rows = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
 
-    rendered_rows = []
     for row in rows:
         paper = PAPER_TABLE4_FACTORS[row.vendor]
         tolerance = TOLERANCE.get(row.vendor, DEFAULT_TOLERANCE)
@@ -38,18 +37,5 @@ def test_table4_sbr_factors(benchmark, output_dir):
                 f"{row.factors[size]:.0f} vs paper {paper[size]} "
                 f"({deviation:.1%} > {tolerance:.0%})"
             )
-        rendered_rows.append(
-            [
-                row.display_name,
-                " & ".join(row.exploited_cases),
-                *(
-                    f"{row.factors[size]:.0f} (paper {paper[size]})"
-                    for size in SIZES
-                ),
-            ]
-        )
 
-    rendered = render_table(
-        ["CDN", "Exploited Range Case", "1MB", "10MB", "25MB"], rendered_rows
-    )
-    save_artifact(output_dir, "table4_sbr_factors.txt", rendered)
+    save_paper_artifact(output_dir, table4_artifact(rows))

@@ -5,11 +5,11 @@ that survives both CDNs' header limits (the paper's max n), run the
 attack once, and measure per-segment traffic and amplification.
 """
 
+from repro.reporting.artifacts import table5_artifact
 from repro.reporting.paper_values import PAPER_TABLE5
-from repro.reporting.render import render_table
 from repro.reporting.tables import table5_rows
 
-from benchmarks.conftest import benchmark_runner, save_artifact
+from benchmarks.conftest import benchmark_runner, save_paper_artifact
 
 #: Tolerances: max n falls out of header-limit arithmetic (tight);
 #: traffic and factor absorb the capture-model difference (see
@@ -30,7 +30,6 @@ def test_table5_obr_factors(benchmark, output_dir):
     rows = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
 
     assert len(rows) == 11
-    rendered_rows = []
     for row in rows:
         paper_n, paper_bo, paper_fb, paper_factor = PAPER_TABLE5[(row.fcdn, row.bcdn)]
         assert abs(row.max_n - paper_n) <= max(2, paper_n * MAX_N_TOLERANCE), (
@@ -45,28 +44,5 @@ def test_table5_obr_factors(benchmark, output_dir):
         assert abs(row.factor - paper_factor) <= paper_factor * FACTOR_TOLERANCE, (
             f"{row.fcdn}->{row.bcdn}: factor {row.factor:.0f} vs {paper_factor}"
         )
-        rendered_rows.append(
-            [
-                row.fcdn,
-                row.bcdn,
-                row.exploited_case_prefix,
-                f"{row.max_n} (paper {paper_n})",
-                f"{row.bcdn_origin_traffic}B (paper {paper_bo}B)",
-                f"{row.fcdn_bcdn_traffic}B (paper {paper_fb}B)",
-                f"{row.factor:.2f} (paper {paper_factor})",
-            ]
-        )
 
-    rendered = render_table(
-        [
-            "FCDN",
-            "BCDN",
-            "Exploited Range Case",
-            "Max n",
-            "Server->BCDN",
-            "BCDN->FCDN",
-            "Amplification",
-        ],
-        rendered_rows,
-    )
-    save_artifact(output_dir, "table5_obr_factors.txt", rendered)
+    save_paper_artifact(output_dir, table5_artifact(rows))

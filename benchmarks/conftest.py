@@ -4,12 +4,14 @@ Every ``bench_*`` module regenerates one of the paper's tables or
 figures.  Besides timing the regeneration with pytest-benchmark, each
 bench renders its artifact to ``benchmarks/output/`` so a run leaves the
 full paper-vs-measured record on disk (EXPERIMENTS.md links there).
+The layouts come from :mod:`repro.reporting.artifacts`, so each file
+has the bytes ``run-all --output-dir`` / ``repro report`` write for the
+same rows.
 
-The sweep benches regenerate through :mod:`repro.runner` by default
-(worker count from ``REPRO_BENCH_WORKERS``, else the cpu count).  Set
-``REPRO_BENCH_SERIAL=1`` — or the runner's own ``REPRO_RUNNER_SERIAL=1``
-— to force the legacy serial in-process path; results are identical
-either way (see ``tests/runner/test_equivalence.py``).
+The sweep benches regenerate through :mod:`repro.runner` (worker count
+from ``REPRO_BENCH_WORKERS``, else the runner's own resolution, which
+honours ``REPRO_RUNNER_SERIAL=1``); results are identical for every
+worker count (see ``tests/runner/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
 
 import pytest
 
+from repro.reporting.artifacts import Artifact
+from repro.runner import GridRunner
+
 OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: Benchmark-level serial escape hatch.
-BENCH_SERIAL_ENV = "REPRO_BENCH_SERIAL"
 #: Worker count override for the bench runner.
 BENCH_WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
@@ -35,19 +37,10 @@ def output_dir() -> Path:
     return OUTPUT_DIR
 
 
-def benchmark_runner() -> Optional[object]:
-    """The GridRunner sweeps should regenerate through, or ``None``.
-
-    ``None`` (when ``REPRO_BENCH_SERIAL=1``) selects the legacy serial
-    in-process loops in ``repro.reporting``.
-    """
-    if os.environ.get(BENCH_SERIAL_ENV, "").strip() not in ("", "0"):
-        return None
-    from repro.runner import GridRunner
-
+def benchmark_runner() -> GridRunner:
+    """The GridRunner the sweeps regenerate through."""
     workers_env = os.environ.get(BENCH_WORKERS_ENV, "").strip()
-    workers = int(workers_env) if workers_env else None
-    return GridRunner(workers=workers)
+    return GridRunner(workers=int(workers_env) if workers_env else None)
 
 
 def save_artifact(output_dir: Path, name: str, content: str) -> None:
@@ -72,3 +65,8 @@ def save_artifact(output_dir: Path, name: str, content: str) -> None:
             pass
         raise
     print(f"\n=== {name} ===\n{content}")
+
+
+def save_paper_artifact(output_dir: Path, artifact: Artifact) -> None:
+    """Save a paper table/figure with the bytes ``run-all`` writes for it."""
+    save_artifact(output_dir, f"{artifact.stem}.txt", artifact.text() + "\n")

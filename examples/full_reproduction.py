@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Regenerate the paper's full table/figure record in one command.
 
-Writes every artifact (plain text + markdown) into a report directory.
+Writes Tables I-III from the feasibility survey plus every ``run-all``
+artifact (Tables IV, V, VII, CCFC, Fig 6a, Fig 7), each as plain text
+and markdown, into a report directory; Table VII also as JSON.  The
+``.txt`` files are byte-identical to ``python -m repro run-all
+--output-dir`` for the same mode.  Same as ``python -m repro report``.
 
 Usage::
 
     python examples/full_reproduction.py [output_dir] [--quick]
 
-``--quick`` trims the sweeps for a fast smoke run.
+``--quick`` runs the trimmed ``run-all --quick`` grid for a smoke run.
 """
 
 import sys

@@ -237,9 +237,10 @@ DEFAULT_SINKS: Tuple[SinkSpec, ...] = (
         "renders and atomically writes the Prometheus textfile",
     ),
     SinkSpec(
-        "repro.reporting.summary._write",
+        "repro.reporting.artifacts.write_artifacts",
         "report-artifact",
-        "writes one rendered table/figure pair of the full report",
+        "writes the rendered paper tables/figures (run-all and the full "
+        "report share it)",
     ),
     SinkSpec(
         "repro.runner.runall.write_report",

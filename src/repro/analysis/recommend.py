@@ -699,41 +699,10 @@ def verify_recommendations(
 
 
 def render_recommendations_table(report: RecommendationReport) -> str:
-    """The recommendations as the repo's standard ASCII table."""
-    from repro.reporting.render import render_table
+    """The recommendations as the repo's standard ASCII table (Table VII)."""
+    from repro.reporting.artifacts import table7_artifact
 
-    rows = []
-    for recommendation in report.recommendations:
-        chosen = recommendation.chosen
-        rejected = ", ".join(
-            f"{option.spec.label} ({option.residual_factor:.1f}x)"
-            for option in recommendation.rejected
-        )
-        rows.append(
-            [
-                recommendation.finding.severity,
-                recommendation.kind,
-                recommendation.subject,
-                chosen.spec.label if chosen is not None else "NONE",
-                chosen.spec.cost_label if chosen is not None else "-",
-                f"{chosen.residual_factor:.2f}x" if chosen is not None else "-",
-                f"{recommendation.finding.factor_bound:.0f}x",
-                rejected or "-",
-            ]
-        )
-    return render_table(
-        [
-            "Severity",
-            "Kind",
-            "Subject",
-            "Mitigation",
-            "Cost",
-            "Residual",
-            "Clean bound",
-            "Rejected (cheaper, insufficient)",
-        ],
-        rows,
-    )
+    return table7_artifact(report).text()
 
 
 __all__ = [

@@ -15,22 +15,60 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.purity import BaselineEntry
+    from repro.reporting.artifacts import Artifact
 
 from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.core.economics import estimate_obr_campaign, estimate_sbr_campaign
-from repro.core.feasibility import survey
 from repro.core.obr import ObrAttack, vulnerable_combinations
 from repro.core.practical import BandwidthAttackSimulation
 from repro.core.sbr import SbrAttack, exploited_range_cases
 from repro.errors import ReproError, UsageError
+from repro.origin.resource import MAX_RESOURCE_SIZE
 from repro.reporting.render import format_bytes, render_sparkline, render_table
-from repro.reporting.tables import table1_rows, table2_rows, table3_rows
 
 MB = 1 << 20
+
+Number = TypeVar("Number", int, float)
+
+
+def _ranged(
+    cast: Callable[[str], Number],
+    minimum: Number,
+    maximum: Optional[Number] = None,
+    exclusive: bool = False,
+) -> Callable[[str], Number]:
+    """An argparse ``type`` for numbers in ``[minimum, maximum]``.
+
+    ``exclusive`` excludes ``minimum`` itself.  Out-of-range values are
+    usage errors: argparse prints the reason and exits 2.
+    """
+    if maximum is not None:
+        expected = f"in [{minimum}, {maximum}]"
+    else:
+        expected = f"{'>' if exclusive else '>='} {minimum}"
+
+    def parse(text: str) -> Number:
+        value = cast(text)
+        if (
+            value < minimum
+            or (exclusive and value == minimum)
+            or (maximum is not None and value > maximum)
+        ):
+            raise argparse.ArgumentTypeError(f"{text} is not {expected}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_SIZE_MB = _ranged(int, 1, MAX_RESOURCE_SIZE // MB)
+_SIZE_BYTES = _ranged(int, 1, MAX_RESOURCE_SIZE)
+_COUNT = _ranged(int, 1)
+_POSITIVE = _ranged(float, 0, exclusive=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,14 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sbr = commands.add_parser("sbr", help="run the Small Byte Range attack")
     sbr.add_argument("vendor", choices=all_vendor_names())
-    sbr.add_argument("--size-mb", type=int, default=10, help="resource size in MB")
-    sbr.add_argument("--rounds", type=int, default=1, help="attack rounds to send")
+    sbr.add_argument("--size-mb", type=_SIZE_MB, default=10, help="resource size in MB")
+    sbr.add_argument("--rounds", type=_COUNT, default=1, help="attack rounds to send")
 
     obr = commands.add_parser("obr", help="run the Overlapping Byte Ranges attack")
     obr.add_argument("fcdn", choices=all_vendor_names())
     obr.add_argument("bcdn", choices=all_vendor_names())
     obr.add_argument(
-        "--overlaps", type=int, default=None,
+        "--overlaps", type=_COUNT, default=None,
         help="overlap count n (default: search the maximum)",
     )
 
@@ -60,18 +98,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     flood = commands.add_parser("flood", help="bandwidth experiment (Fig 7)")
-    flood.add_argument("--m", type=int, default=12, help="attack requests per second")
+    flood.add_argument(
+        "--m", type=_ranged(int, 0), default=12, help="attack requests per second"
+    )
     flood.add_argument("--vendor", default="cloudflare", choices=all_vendor_names())
-    flood.add_argument("--uplink-mbps", type=float, default=1000.0)
+    flood.add_argument("--uplink-mbps", type=_POSITIVE, default=1000.0)
 
     economics = commands.add_parser(
         "economics", help="project a campaign's victim cost"
     )
     economics.add_argument("attack", choices=["sbr", "obr"])
     economics.add_argument("vendor", help="vendor, or fcdn:bcdn for obr")
-    economics.add_argument("--size-mb", type=int, default=10)
-    economics.add_argument("--rps", type=float, default=10.0)
-    economics.add_argument("--hours", type=float, default=1.0)
+    economics.add_argument("--size-mb", type=_SIZE_MB, default=10)
+    economics.add_argument("--rps", type=_POSITIVE, default=10.0)
+    economics.add_argument("--hours", type=_POSITIVE, default=1.0)
 
     scenario = commands.add_parser(
         "scenario", help="run a JSON scenario file of experiments"
@@ -87,15 +127,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     analyze.add_argument(
-        "--size-mb", type=int, default=10,
+        "--size-mb", type=_SIZE_MB, default=10,
         help="SBR resource size in MB the bounds assume (default: 10)",
     )
     analyze.add_argument(
-        "--obr-size", type=int, default=1024,
+        "--obr-size", type=_SIZE_BYTES, default=1024,
         help="OBR resource size in bytes the bounds assume (default: 1024)",
     )
     analyze.add_argument(
-        "--ccfc-size-mb", type=int, default=10,
+        "--ccfc-size-mb", type=_SIZE_MB, default=10,
         help="CCFC resource size in MB the bounds assume (default: 10)",
     )
     analyze.add_argument(
@@ -120,22 +160,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     recommend.add_argument(
-        "--threshold", type=float, default=None, metavar="F",
+        "--threshold", type=_POSITIVE, default=None, metavar="F",
         help="residual factor a mitigation must stay under to qualify "
              "(default: 10.0, the low-severity boundary)",
     )
     recommend.add_argument(
-        "--size-mb", type=int, default=10,
+        "--size-mb", type=_SIZE_MB, default=10,
         help="SBR resource size in MB the residual bounds assume "
              "(default: 10)",
     )
     recommend.add_argument(
-        "--obr-size", type=int, default=1024,
+        "--obr-size", type=_SIZE_BYTES, default=1024,
         help="OBR resource size in bytes the residual bounds assume "
              "(default: 1024)",
     )
     recommend.add_argument(
-        "--ccfc-size-mb", type=int, default=10,
+        "--ccfc-size-mb", type=_SIZE_MB, default=10,
         help="CCFC resource size in MB the residual bounds assume "
              "(default: 10)",
     )
@@ -216,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks a free one; printed at startup)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_COUNT, default=1,
         help="threads in the pool that runs batches off the event loop",
     )
     serve.add_argument(
@@ -259,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="regenerate Tables IV-V and Figs 6-7 in one parallel grid run",
     )
     run_all.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_COUNT, default=None,
         help="worker processes (default: REPRO_RUNNER_WORKERS or cpu count; "
              "1 means serial)",
     )
@@ -485,46 +525,15 @@ def _cmd_obr(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_artifacts(artifacts: Iterable[Artifact]) -> None:
+    """Print each table under its title, blank-line separated."""
+    print("\n\n".join(f"{a.title}:\n{a.text()}" for a in artifacts))
+
+
 def _cmd_survey() -> int:
-    feasibility = survey(file_size=16 * 1024)
-    print("Table I - SBR-vulnerable forwarding:")
-    print(
-        render_table(
-            ["CDN", "vulnerable", "formats"],
-            [
-                [
-                    row.display_name,
-                    "yes" if row.vulnerable else "no",
-                    "; ".join(f"{f} ({p})" for f, p in row.vulnerable_formats),
-                ]
-                for row in table1_rows(feasibility=feasibility)
-            ],
-        )
-    )
-    print("\nTable II - OBR front-ends:")
-    print(
-        render_table(
-            ["CDN", "lazy multi-range formats"],
-            [
-                [row.display_name, "; ".join(row.lazy_formats)]
-                for row in table2_rows(feasibility=feasibility)
-            ],
-        )
-    )
-    print("\nTable III - OBR back-ends:")
-    print(
-        render_table(
-            ["CDN", "reply"],
-            [
-                [
-                    row.display_name,
-                    "n-part (overlapping)"
-                    + (f", n <= {row.part_limit}" if row.part_limit else ""),
-                ]
-                for row in table3_rows(feasibility=feasibility)
-            ],
-        )
-    )
+    from repro.reporting.artifacts import feasibility_artifacts
+
+    _print_artifacts(feasibility_artifacts())
     return 0
 
 
@@ -714,94 +723,10 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         print(f"wrote {args.profile} ({len(report.cells)} cells profiled)")
         written_artifacts.append(Path(args.profile))
 
-    sizes = sorted(report.table4[0].factors) if report.table4 else []
-    print("\nTable IV - SBR amplification factors:")
-    print(
-        render_table(
-            ["CDN", "Exploited Range Case"] + [f"{s // MB}MB" for s in sizes],
-            [
-                [row.display_name, " & ".join(row.exploited_cases)]
-                + [f"{row.factors[s]:.0f}" for s in sizes]
-                for row in report.table4
-            ],
-        )
-    )
-    print("\nTable V - OBR amplification factors:")
-    print(
-        render_table(
-            ["FCDN", "BCDN", "Max n", "BCDN->FCDN", "Factor"],
-            [
-                [
-                    row.fcdn,
-                    row.bcdn,
-                    row.max_n,
-                    format_bytes(row.fcdn_bcdn_traffic),
-                    f"{row.factor:.1f}",
-                ]
-                for row in report.table5
-            ],
-        )
-    )
-    if report.table_ccfc:
-        ccfc_sizes = sorted(report.table_ccfc[0].factors)
-        print("\nCCFC - compression-conversion amplification factors:")
-        print(
-            render_table(
-                ["CDN", "Coding"] + [f"{s // MB}MB" for s in ccfc_sizes],
-                [
-                    [row.display_name, row.encoding or "-"]
-                    + [f"{row.factors[s]:.1f}" for s in ccfc_sizes]
-                    for row in report.table_ccfc
-                ],
-            )
-        )
-    if report.table_faults:
-        print(
-            f"\nTable VI - SBR under faults + vendor retries "
-            f"(seed {report.fault_seed}):"
-        )
-        print(
-            render_table(
-                ["CDN", "Size", "Clean", "Faulted", "Re-amp", "Faults",
-                 "Retries", "Budget"],
-                [
-                    [
-                        row.display_name,
-                        f"{row.resource_size // MB}MB",
-                        f"{row.clean_factor:.0f}",
-                        f"{row.faulted_factor:.0f}",
-                        f"{row.reamplification:.2f}x",
-                        row.faults,
-                        row.retries,
-                        row.max_attempts,
-                    ]
-                    for row in report.table_faults
-                ],
-            )
-        )
-    if report.table7_recommendations is not None:
-        from repro.analysis.recommend import render_recommendations_table
+    from repro.reporting.artifacts import runall_artifacts
 
-        print("\nTable VII - Defense recommendations (static residual bounds):")
-        print(render_recommendations_table(report.table7_recommendations))
-    print("\nFig 6a - SBR factor vs size:")
-    for series in report.fig6:
-        print(f"  {series.vendor:<12} {render_sparkline(series.factors, width=40)}")
-    print("\nFig 7 - origin egress vs m:")
-    print(
-        render_table(
-            ["m", "steady origin Mbps", "peak client Kbps", "saturated"],
-            [
-                [
-                    result.m,
-                    f"{result.steady_origin_mbps:.1f}",
-                    f"{result.peak_client_kbps:.1f}",
-                    "yes" if result.saturated else "no",
-                ]
-                for result in report.fig7
-            ],
-        )
-    )
+    print()
+    _print_artifacts(runall_artifacts(report))
     label = "run-all" + ("-quick" if args.quick else "")
     if args.exact:
         label += "-exact"

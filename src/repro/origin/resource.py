@@ -9,6 +9,9 @@ from typing import Dict, List, Optional, Union
 from repro.errors import ResourceNotFoundError
 from repro.http.body import Body, make_body
 
+#: Largest resource the CLI and the analysis service accept (1 GiB).
+MAX_RESOURCE_SIZE = 1 << 30
+
 #: Content types guessed from path suffixes (enough for the experiments).
 _SUFFIX_TYPES = {
     ".jpg": "image/jpeg",

@@ -3,7 +3,9 @@
 * :mod:`repro.reporting.tables` — Tables I–V as structured rows.
 * :mod:`repro.reporting.figures` — Fig 6 (SBR curves) and Fig 7
   (bandwidth saturation) as numeric series.
-* :mod:`repro.reporting.render` — plain-text table rendering.
+* :mod:`repro.reporting.artifacts` — the one layout (stem, title,
+  headers, cells) of every table and figure, and the one writer.
+* :mod:`repro.reporting.render` — plain-text and markdown rendering.
 * :mod:`repro.reporting.paper_values` — the numbers the paper printed,
   for side-by-side comparison and tolerance checks.
 """

@@ -1,46 +1,22 @@
 """One-call regeneration of the full paper-reproduction report.
 
-:func:`generate_full_report` runs every experiment and writes each
-artifact twice — aligned plain text and GitHub markdown — into a target
-directory.  The benchmarks do the same piecemeal (with assertions); this
-is the convenience surface for a downstream user who wants the whole
-record in one command::
+:func:`generate_full_report` writes Tables I–III from the feasibility
+survey and every ``run-all`` artifact, each as aligned plain text and
+GitHub markdown, into a target directory::
 
     from repro.reporting.summary import generate_full_report
     generate_full_report("report/")
+
+The ``.txt`` files are byte-identical to what ``run-all --output-dir``
+writes: both go through :mod:`repro.reporting.artifacts`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import List, Union
 
-from repro.core.feasibility import survey
-from repro.reporting.figures import fig7_series
-from repro.reporting.paper_values import PAPER_TABLE4_FACTORS, PAPER_TABLE5
-from repro.reporting.render import render_markdown_table, render_table
-from repro.reporting.tables import (
-    table1_rows,
-    table2_rows,
-    table3_rows,
-    table4_rows,
-    table5_rows,
-)
-
-MB = 1 << 20
-
-
-def _write(
-    output_dir: Path, stem: str, headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> List[Path]:
-    rows = list(rows)
-    text_path = output_dir / f"{stem}.txt"
-    markdown_path = output_dir / f"{stem}.md"
-    text_path.write_text(render_table(headers, rows) + "\n", encoding="utf-8")
-    markdown_path.write_text(
-        render_markdown_table(headers, rows) + "\n", encoding="utf-8"
-    )
-    return [text_path, markdown_path]
+from repro.reporting.artifacts import feasibility_artifacts, write_artifacts
 
 
 def generate_full_report(
@@ -49,99 +25,11 @@ def generate_full_report(
 ) -> List[Path]:
     """Regenerate every table/figure; returns the files written.
 
-    ``quick=True`` trims the sweeps (Table IV at 1 MB only, Fig 7 at
-    three m values) for smoke runs; the default reproduces the paper's
-    full parameter grid.
+    ``quick=True`` runs the trimmed ``run-all --quick`` grid for smoke
+    runs; the default reproduces the paper's full parameter grid.
     """
-    target = Path(output_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
+    from repro.runner.runall import run_all, write_report
 
-    feasibility = survey(file_size=16 * 1024)
-    written += _write(
-        target,
-        "table1_sbr_feasibility",
-        ["CDN", "Vulnerable", "Format -> Policy"],
-        [
-            [
-                row.display_name,
-                "yes" if row.vulnerable else "no",
-                "; ".join(f"{f} ({p})" for f, p in row.vulnerable_formats),
-            ]
-            for row in table1_rows(feasibility=feasibility)
-        ],
-    )
-    written += _write(
-        target,
-        "table2_obr_forwarding",
-        ["CDN", "Lazy Multi-Range Formats"],
-        [
-            [row.display_name, "; ".join(row.lazy_formats)]
-            for row in table2_rows(feasibility=feasibility)
-        ],
-    )
-    written += _write(
-        target,
-        "table3_obr_replying",
-        ["CDN", "Response Format"],
-        [
-            [
-                row.display_name,
-                "n-part response (overlapping)"
-                + (f", n <= {row.part_limit}" if row.part_limit else ""),
-            ]
-            for row in table3_rows(feasibility=feasibility)
-        ],
-    )
-
-    sizes = (1 * MB,) if quick else (1 * MB, 10 * MB, 25 * MB)
-    written += _write(
-        target,
-        "table4_sbr_factors",
-        ["CDN", "Exploited Case"] + [f"{s // MB}MB (paper)" for s in sizes],
-        [
-            [
-                row.display_name,
-                " & ".join(row.exploited_cases),
-                *(
-                    f"{row.factors[s]:.0f} ({PAPER_TABLE4_FACTORS[row.vendor][s]})"
-                    for s in sizes
-                ),
-            ]
-            for row in table4_rows(sizes=sizes)
-        ],
-    )
-
-    combos = [("cloudflare", "akamai"), ("cdn77", "azure")] if quick else None
-    written += _write(
-        target,
-        "table5_obr_factors",
-        ["FCDN", "BCDN", "Max n (paper)", "BCDN->FCDN B (paper)", "Factor (paper)"],
-        [
-            [
-                row.fcdn,
-                row.bcdn,
-                f"{row.max_n} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][0]})",
-                f"{row.fcdn_bcdn_traffic} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][2]})",
-                f"{row.factor:.1f} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][3]})",
-            ]
-            for row in table5_rows(combinations=combos)
-        ],
-    )
-
-    ms: Sequence[int] = (2, 12, 15) if quick else tuple(range(1, 16))
-    written += _write(
-        target,
-        "fig7_bandwidth",
-        ["m", "steady origin Mbps", "peak client Kbps", "saturated"],
-        [
-            [
-                result.m,
-                f"{result.steady_origin_mbps:.1f}",
-                f"{result.peak_client_kbps:.1f}",
-                "yes" if result.saturated else "no",
-            ]
-            for result in fig7_series(ms=ms)
-        ],
-    )
+    written = write_artifacts(feasibility_artifacts(), output_dir, markdown=True)
+    written += write_report(run_all(quick=quick), output_dir, markdown=True)
     return written

@@ -4,14 +4,26 @@ re-amplification table (Table VI) this reproduction adds on top."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.core.feasibility import FeasibilityProbe, VendorFeasibility, survey
 from repro.core.obr import ObrAttack, vulnerable_combinations
-from repro.core.sbr import SbrAttack, exploited_range_cases
+from repro.core.sbr import exploited_range_cases
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runner.executor import GridRunner
 
 MB = 1 << 20
+
+
+def resolve_runner(runner: Optional[GridRunner]) -> GridRunner:
+    """``runner``, or the default single in-process worker."""
+    if runner is not None:
+        return runner
+    from repro.runner.executor import GridRunner
+
+    return GridRunner(workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +147,22 @@ class Table4Row:
 def table4_rows(
     vendors: Optional[Sequence[str]] = None,
     sizes: Sequence[int] = (1 * MB, 10 * MB, 25 * MB),
-    runner: Optional[object] = None,
+    runner: Optional[GridRunner] = None,
 ) -> List[Table4Row]:
     """Regenerate Table IV by running the SBR attack at each size.
 
-    ``runner`` optionally supplies a :class:`repro.runner.GridRunner`;
-    the vendor x size cells then execute through it (in parallel when it
-    has workers) with results merged in grid order, which keeps the rows
-    identical to the serial path.
+    The vendor x size cells execute through ``runner`` (default: one
+    in-process worker); results merge in grid order, so every worker
+    count yields the same rows.
     """
-    names = list(vendors) if vendors is not None else all_vendor_names()
-    if runner is not None:
-        from repro.core.sbr import sbr_grid
+    from repro.core.sbr import sbr_grid
 
-        grid_result = runner.run(sbr_grid(names, tuple(sizes), name="table4-sbr"))
-        grid_result.values()  # propagate the first cell failure, like serial
-        return table4_rows_from_results(grid_result.value_by_key(), names, sizes)
-    results = {
-        (name, size): SbrAttack(name, resource_size=size).run()
-        for name in names
-        for size in sizes
-    }
-    return table4_rows_from_results(results, names, sizes)
+    names = list(vendors) if vendors is not None else all_vendor_names()
+    grid_result = resolve_runner(runner).run(
+        sbr_grid(names, tuple(sizes), name="table4-sbr")
+    )
+    grid_result.values()  # propagate the first cell failure
+    return table4_rows_from_results(grid_result.value_by_key(), names, sizes)
 
 
 def table4_rows_from_results(
@@ -308,29 +314,22 @@ class Table5Row:
 def table5_rows(
     combinations: Optional[Sequence[Tuple[str, str]]] = None,
     resource_size: int = 1024,
-    runner: Optional[object] = None,
+    runner: Optional[GridRunner] = None,
 ) -> List[Table5Row]:
     """Regenerate Table V: search max n per combination, then measure.
 
-    ``runner`` optionally executes the 11 cascade cells through a
-    :class:`repro.runner.GridRunner`; each cell is a full max-n binary
-    search plus measurement, so this is the sweep where parallel workers
-    pay off most.
+    Each cascade cell (a max-n binary search plus measurement) executes
+    through ``runner`` (default: one in-process worker); this is the
+    sweep where parallel workers pay off most.
     """
-    combos = list(combinations) if combinations is not None else vulnerable_combinations()
-    if runner is not None:
-        from repro.core.obr import obr_grid
+    from repro.core.obr import obr_grid
 
-        grid_result = runner.run(obr_grid(combos, resource_size=resource_size))
-        grid_result.values()  # propagate the first cell failure, like serial
-        return table5_rows_from_results(
-            grid_result.value_by_key(), combos, resource_size
-        )
-    results = {
-        (fcdn, bcdn): ObrAttack(fcdn, bcdn, resource_size=resource_size).run()
-        for fcdn, bcdn in combos
-    }
-    return table5_rows_from_results(results, combos, resource_size)
+    combos = list(combinations) if combinations is not None else vulnerable_combinations()
+    grid_result = resolve_runner(runner).run(
+        obr_grid(combos, resource_size=resource_size)
+    )
+    grid_result.values()  # propagate the first cell failure
+    return table5_rows_from_results(grid_result.value_by_key(), combos, resource_size)
 
 
 def table5_rows_from_results(

@@ -1,16 +1,16 @@
-"""One-shot regeneration of Tables IV–V and Figs 6–7 through the runner.
+"""One-shot regeneration of Tables IV–VII and Figs 6–7 through the runner.
 
 :func:`run_all` builds a **single combined grid** — the SBR vendor x
 size sweep (serving both Table IV and Fig 6, deduped), the 11 Table V
 cascades, and the 15 Fig 7 flood intensities — executes it through one
-:class:`~repro.runner.executor.GridRunner`, and assembles the same row
-and series objects the serial ``repro.reporting`` functions produce.
-One pool, every cell kind interleaved, so slow OBR searches overlap
-with cheap SBR cells instead of serializing behind them.
+:class:`~repro.runner.executor.GridRunner`, and assembles the row and
+series objects of :mod:`repro.reporting`; :func:`write_report` renders
+them through :mod:`repro.reporting.artifacts`.  One pool, every cell
+kind interleaved, so slow OBR searches overlap with cheap SBR cells
+instead of serializing behind them.
 
-Determinism: cell functions are pure, outcomes merge in grid order, and
-the assemblers are shared with the serial path, so ``run_all(workers=N)``
-returns objects equal to the serial regeneration for every N.
+Determinism: cell functions are pure and outcomes merge in grid order,
+so ``run_all(workers=N)`` returns equal objects for every N.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.runner.memo import sbr_per_request_traffic
 
 MB = 1 << 20
 
-#: Quick-mode trims, mirroring ``reporting.summary.generate_full_report``.
+#: Quick-mode trims (``run-all --quick``, ``repro report --quick``).
 QUICK_TABLE5_COMBOS = (("cloudflare", "akamai"), ("cdn77", "azure"))
 QUICK_FIG7_MS = (2, 12, 15)
 
@@ -171,7 +171,7 @@ def run_all(
 
     ``quick=True`` trims the grid for smoke runs (Table IV at 1 MB,
     Fig 6 at three sizes, two Table V cascades, three Fig 7 points) —
-    the CI path.  Results are identical to the serial regeneration; the
+    the CI path.  Results are identical for every worker count; the
     equivalence tests pin this.
 
     ``collect_obs=True`` runs every cell traced and metered: the report
@@ -400,141 +400,20 @@ def run_all(
 
 
 def write_report(
-    report: RunAllReport, output_dir: Union[str, Path]
+    report: RunAllReport, output_dir: Union[str, Path], markdown: bool = False
 ) -> List[Path]:
-    """Render the report's artifacts into ``output_dir`` (txt files)."""
-    from repro.reporting.paper_values import PAPER_TABLE4_FACTORS, PAPER_TABLE5
-    from repro.reporting.render import render_table
+    """Write the report's artifacts into ``output_dir``.
 
-    target = Path(output_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
+    One ``.txt`` per table (plus a ``.md`` twin with ``markdown``) and
+    Table VII's JSON.
+    """
+    from repro.reporting.artifacts import runall_artifacts, write_artifacts
 
-    def _write(name: str, content: str) -> None:
-        path = target / name
-        path.write_text(content + "\n", encoding="utf-8")
-        written.append(path)
-
-    sizes = sorted(report.table4[0].factors) if report.table4 else []
-    _write(
-        "table4_sbr_factors.txt",
-        render_table(
-            ["CDN", "Exploited Case"] + [f"{s // MB}MB (paper)" for s in sizes],
-            [
-                [
-                    row.display_name,
-                    " & ".join(row.exploited_cases),
-                    *(
-                        f"{row.factors[s]:.0f} "
-                        f"({PAPER_TABLE4_FACTORS[row.vendor].get(s, '-')})"
-                        for s in sizes
-                    ),
-                ]
-                for row in report.table4
-            ],
-        ),
-    )
-    _write(
-        "table5_obr_factors.txt",
-        render_table(
-            ["FCDN", "BCDN", "Max n (paper)", "BCDN->FCDN B (paper)", "Factor (paper)"],
-            [
-                [
-                    row.fcdn,
-                    row.bcdn,
-                    f"{row.max_n} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][0]})",
-                    f"{row.fcdn_bcdn_traffic} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][2]})",
-                    f"{row.factor:.1f} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][3]})",
-                ]
-                for row in report.table5
-            ],
-        ),
-    )
-    if report.fig6:
-        header = ["size"] + [series.vendor for series in report.fig6]
-        _write(
-            "fig6a_amplification_factors.txt",
-            render_table(
-                header,
-                [
-                    [f"{size // MB}MB"]
-                    + [f"{series.factors[i]:.0f}" for series in report.fig6]
-                    for i, size in enumerate(report.fig6[0].sizes)
-                ],
-            ),
-        )
-    if report.table_ccfc:
-        ccfc_sizes = sorted(report.table_ccfc[0].factors)
-        _write(
-            "table_ccfc.txt",
-            render_table(
-                ["CDN", "Negotiated coding"]
-                + [f"{s // MB}MB factor" for s in ccfc_sizes],
-                [
-                    [
-                        row.display_name,
-                        row.encoding or "-",
-                        *(f"{row.factors[s]:.1f}" for s in ccfc_sizes),
-                    ]
-                    for row in report.table_ccfc
-                ],
-            ),
-        )
-    if report.table_faults:
-        _write(
-            "table6_faulted_sbr.txt",
-            render_table(
-                [
-                    "CDN",
-                    "Size",
-                    "Clean factor",
-                    "Faulted factor",
-                    "Re-amp",
-                    "Faults",
-                    "Retries",
-                    "Exhausted",
-                    "Budget",
-                ],
-                [
-                    [
-                        row.display_name,
-                        f"{row.resource_size // MB}MB",
-                        f"{row.clean_factor:.0f}",
-                        f"{row.faulted_factor:.0f}",
-                        f"{row.reamplification:.2f}x",
-                        row.faults,
-                        row.retries,
-                        row.exhausted_fetches,
-                        row.max_attempts,
-                    ]
-                    for row in report.table_faults
-                ],
-            ),
-        )
-    _write(
-        "fig7_bandwidth.txt",
-        render_table(
-            ["m", "steady origin Mbps", "peak client Kbps", "saturated"],
-            [
-                [
-                    result.m,
-                    f"{result.steady_origin_mbps:.1f}",
-                    f"{result.peak_client_kbps:.1f}",
-                    "yes" if result.saturated else "no",
-                ]
-                for result in report.fig7
-            ],
-        ),
-    )
+    written = write_artifacts(runall_artifacts(report), output_dir, markdown=markdown)
     if report.table7_recommendations is not None:
-        from repro.analysis.recommend import render_recommendations_table
-
-        _write(
-            "table7_recommendations.txt",
-            render_recommendations_table(report.table7_recommendations),
+        path = Path(output_dir) / "table7_recommendations.json"
+        path.write_text(
+            report.table7_recommendations.to_json() + "\n", encoding="utf-8"
         )
-        _write(
-            "table7_recommendations.json",
-            report.table7_recommendations.to_json(),
-        )
+        written.append(path)
     return written

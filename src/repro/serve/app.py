@@ -62,6 +62,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     use_metrics,
 )
+from repro.origin.resource import MAX_RESOURCE_SIZE
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.deadline import (
@@ -102,7 +103,7 @@ class ServeConfig:
     max_queue_wait_s: float = 5.0
     max_body_bytes: int = 1 * MB
     max_batch_items: int = 64
-    max_resource_size: int = 1 << 30
+    max_resource_size: int = MAX_RESOURCE_SIZE
     #: Exact simulations refuse sizes above this (simulation cost grows
     #: with the resource, and the bounds already cover large sizes).
     exact_max_size: int = 8 * MB

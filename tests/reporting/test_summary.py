@@ -1,4 +1,7 @@
-"""Tests for the one-call full-report generator (quick mode)."""
+"""Tests for the one-call full-report generator (quick mode).
+
+Byte identity with ``run-all``'s goldens is pinned in ``tests/test_cli.py``.
+"""
 
 import pytest
 
@@ -21,12 +24,17 @@ class TestGeneration:
             "table3_obr_replying",
             "table4_sbr_factors",
             "table5_obr_factors",
+            "fig6a_amplification_factors",
+            "table_ccfc",
             "fig7_bandwidth",
+            "table7_recommendations",
         }
         names = {path.name for path in written}
         for stem in stems:
             assert f"{stem}.txt" in names
             assert f"{stem}.md" in names
+        assert "table7_recommendations.json" in names
+        assert len(names) == 2 * len(stems) + 1
         assert all(path.exists() and path.stat().st_size > 0 for path in written)
 
     def test_table4_mentions_paper_values(self, report):

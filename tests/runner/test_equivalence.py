@@ -94,18 +94,18 @@ def test_equivalence_holds_when_a_cell_raises():
     assert parallel.outcomes[0].unwrap().vendor == "akamai"
 
 
-def test_table4_rows_parallel_identical_to_legacy_serial():
-    """The reporting surface: runner-backed rows == legacy serial rows."""
+def test_table4_rows_parallel_identical_to_one_worker_default():
+    """The reporting surface: four-worker rows == default one-worker rows."""
     parallel = table4_rows(sizes=(1 * MB,), runner=GridRunner(workers=4))
-    serial = table4_rows(sizes=(1 * MB,))
-    assert parallel == serial
+    default = table4_rows(sizes=(1 * MB,))
+    assert parallel == default
 
 
-def test_table5_rows_parallel_identical_to_legacy_serial():
+def test_table5_rows_parallel_identical_to_one_worker_default():
     combos = [("cloudflare", "akamai"), ("stackpath", "azure")]
-    parallel = table5_rows(combinations=combos, runner=GridRunner(workers=2))
-    serial = table5_rows(combinations=combos)
-    assert parallel == serial
+    parallel = table5_rows(combinations=combos, runner=GridRunner(workers=4))
+    default = table5_rows(combinations=combos)
+    assert parallel == default
 
 
 def test_serial_env_var_forces_serial_execution(monkeypatch):

@@ -1,8 +1,17 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "runall_quick"
+FEASIBILITY_TABLES = (
+    ("table1_sbr_feasibility", "Table I - SBR-vulnerable forwarding"),
+    ("table2_obr_forwarding", "Table II - OBR front-ends"),
+    ("table3_obr_replying", "Table III - OBR back-ends"),
+)
 
 
 class TestVendors:
@@ -70,6 +79,13 @@ class TestMatrix:
         assert "DEL" in output and "EXP" in output and "lazy" in output
 
 
+@pytest.fixture(scope="module")
+def quick_report(tmp_path_factory):
+    target = tmp_path_factory.mktemp("report") / "out"
+    assert main(["report", str(target), "--quick"]) == 0
+    return target
+
+
 class TestReport:
     def test_quick_report_written(self, tmp_path, capsys):
         target = tmp_path / "out"
@@ -77,6 +93,70 @@ class TestReport:
         output = capsys.readouterr().out
         assert "table4_sbr_factors" in output
         assert (target / "table1_sbr_feasibility.md").exists()
+
+    def test_runall_artifacts_match_goldens(self, quick_report):
+        """``repro report`` goes through run-all's writer: same bytes."""
+        golden = sorted(GOLDEN_DIR.iterdir())
+        assert golden
+        for path in golden:
+            assert (quick_report / path.name).read_bytes() == path.read_bytes(), (
+                path.name
+            )
+
+    def test_feasibility_tables_with_markdown_twins(self, quick_report):
+        for stem, _ in FEASIBILITY_TABLES:
+            assert (quick_report / f"{stem}.txt").stat().st_size > 0
+            markdown = (quick_report / f"{stem}.md").read_text()
+            assert markdown.startswith("| CDN |")
+
+    def test_survey_prints_the_report_tables(self, quick_report, capsys):
+        assert main(["survey"]) == 0
+        expected = "\n".join(
+            f"{title}:\n" + (quick_report / f"{stem}.txt").read_text()
+            for stem, title in FEASIBILITY_TABLES
+        )
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--size-mb", "-3"],
+        ["analyze", "--size-mb", "0"],
+        ["analyze", "--size-mb", "1025"],
+        ["analyze", "--obr-size", "0"],
+        ["recommend", "--ccfc-size-mb", "0"],
+        ["sbr", "akamai", "--rounds", "0"],
+        ["sbr", "akamai", "--size-mb", "-1"],
+        ["obr", "cloudflare", "akamai", "--overlaps", "0"],
+        ["flood", "--m", "-2"],
+        ["economics", "sbr", "akamai", "--rps", "-5"],
+        ["economics", "sbr", "akamai", "--hours", "-1"],
+        ["economics", "sbr", "akamai", "--rps", "0"],
+        ["run-all", "--workers", "-2"],
+        ["run-all", "--workers", "0"],
+        ["analyze", "--size-mb", "ten"],
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"error: argument {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,dest,value",
+    [
+        (["analyze", "--size-mb", "1024"], "size_mb", 1024),
+        (["analyze", "--obr-size", str(1 << 30)], "obr_size", 1 << 30),
+        (["flood", "--m", "0"], "m", 0),
+        (["economics", "sbr", "akamai", "--hours", "0.5"], "hours", 0.5),
+        (["run-all", "--workers", "1"], "workers", 1),
+    ],
+)
+def test_range_limits_are_inclusive(argv, dest, value):
+    assert getattr(_build_parser().parse_args(argv), dest) == value
 
 
 class TestEconomics:
