@@ -3,9 +3,10 @@
 Two independent passes (ISSUE 3):
 
 * **Config analysis** — :func:`~repro.analysis.report.analyze_vendor_matrix`
-  and :func:`~repro.analysis.report.analyze_deployment` classify vendors
-  and cascades as SBR/OBR-vulnerable straight from their
-  ``forward_decision`` tables, reply behaviors, and header limits, and
+  and :func:`~repro.analysis.report.analyze_deployment` run every family
+  of :mod:`repro.analysis.families` (SBR, OBR, CCFC) over vendors and
+  cascades straight from their ``forward_decision`` tables, reply
+  behaviors, compression negotiation and header limits, and
   compute closed-form worst-case amplification bounds (paper §IV) without
   simulating a single wire byte.
 * **Code analysis** — :mod:`repro.analysis.lint` is an AST linter that
@@ -52,9 +53,9 @@ from repro.analysis.classify import (
     classify_obr_frontend,
     classify_sbr,
 )
+from repro.analysis.families import MitigationSpec
 from repro.analysis.recommend import (
     MitigationOption,
-    MitigationSpec,
     Recommendation,
     RecommendationReport,
     VerificationCheck,

@@ -23,7 +23,7 @@ measuring anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Type, Union
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
@@ -213,15 +213,15 @@ def classify_obr_frontend(
     vendor: str,
     resource_size: int = 1024,
     config: Optional[VendorConfig] = None,
+    profile_factory: Optional[ProfileFactory] = None,
 ) -> Tuple[ProbeDecision, ...]:
     """The overlapping multi-range shapes ``vendor`` forwards unchanged
     (Table II membership evidence; empty when unusable as an FCDN)."""
-    return tuple(
-        probe
+    probes = (
+        probe_decision(vendor, shape, resource_size, config, profile_factory)
         for shape in MULTI_RANGE_SHAPES
-        for probe in (probe_decision(vendor, shape, resource_size, config=config),)
-        if probe.lazy_unchanged
     )
+    return tuple(probe for probe in probes if probe.lazy_unchanged)
 
 
 def frontend_requires_bypass(vendor: str) -> bool:
@@ -248,14 +248,20 @@ class ObrBackendFacts:
         return self.reply_behavior is MultiRangeReplyBehavior.HONOR
 
 
-def classify_obr_backend(vendor: str) -> ObrBackendFacts:
-    """Read the reply-behavior facts off the profile class."""
-    profile_cls = type(create_profile(vendor))
+def classify_obr_backend(
+    vendor: str, profile_factory: Optional[ProfileFactory] = None
+) -> ObrBackendFacts:
+    """Read the reply-behavior facts off the profile class (or the
+    substituted profile)."""
+    source: Union[VendorProfile, Type[VendorProfile]] = (
+        profile_factory() if profile_factory is not None
+        else type(create_profile(vendor))
+    )
     return ObrBackendFacts(
         vendor=vendor,
-        reply_behavior=profile_cls.reply_behavior,
-        reply_max_parts=profile_cls.reply_max_parts,
-        multipart_boundary=profile_cls.multipart_boundary,
+        reply_behavior=source.reply_behavior,
+        reply_max_parts=source.reply_max_parts,
+        multipart_boundary=source.multipart_boundary,
     )
 
 
@@ -282,12 +288,17 @@ def classify_cascade(
     bcdn: str,
     resource_size: int = 1024,
     fcdn_config: Optional[VendorConfig] = None,
+    fcdn_profile: Optional[ProfileFactory] = None,
+    bcdn_profile: Optional[ProfileFactory] = None,
 ) -> CascadeClassification:
     """Statically classify one cascade cell, with the Cloudflare bypass
-    fallback the paper's Table V setup uses."""
-    lazy = classify_obr_frontend(fcdn, resource_size, config=fcdn_config)
+    fallback the paper's Table V setup uses.  ``fcdn_profile`` /
+    ``bcdn_profile`` substitute wrapped profiles on either side (a
+    substituted front end carries its own configuration: no fallback)."""
+    lazy = classify_obr_frontend(fcdn, resource_size, fcdn_config, fcdn_profile)
     requires_bypass = False
-    if not lazy and fcdn_config is None and frontend_requires_bypass(fcdn):
+    configured = fcdn_config is not None or fcdn_profile is not None
+    if not lazy and not configured and frontend_requires_bypass(fcdn):
         lazy = classify_obr_frontend(
             fcdn, resource_size, config=VendorConfig(bypass_cache=True)
         )
@@ -297,7 +308,7 @@ def classify_cascade(
         bcdn=bcdn,
         lazy_probes=lazy,
         requires_bypass=requires_bypass,
-        backend=classify_obr_backend(bcdn),
+        backend=classify_obr_backend(bcdn, profile_factory=bcdn_profile),
     )
 
 

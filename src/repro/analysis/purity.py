@@ -293,6 +293,19 @@ DEFAULT_DISPATCH: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         "repro.runner.experiments.execute_cell",
         ("@registered:repro.runner.experiments",),
     ),
+    # Consumers call a family record through its base class: each base
+    # method reaches every family's override (an edge to a method a
+    # family does not override is a leaf).
+    *(
+        (
+            f"repro.analysis.families.Family.{method}",
+            tuple(
+                f"repro.analysis.families.{record}.{method}"
+                for record in ("SbrFamily", "ObrFamily", "CcfcFamily")
+            ),
+        )
+        for method in ("finding", "residual", "faulted_residual", "simulate", "measure")
+    ),
 )
 
 

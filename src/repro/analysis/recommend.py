@@ -6,13 +6,13 @@ expansion to a few KB, enforce RFC 7233 §6.1 against overlapping ranges
 static findings of :func:`~repro.analysis.report.analyze_vendor_matrix`
 into *actionable, verified* recommendations:
 
-1. for each vulnerable SBR vendor and each vulnerable FCDN×BCDN
-   cascade, enumerate the applicable mitigations from
-   :mod:`repro.defense.mitigations`, ordered by deployment cost
+1. for each vulnerable finding, take its family's mitigation
+   candidates (:mod:`repro.analysis.families`), wrappers from
+   :mod:`repro.defense.mitigations` ordered by deployment cost
    (config-only change < header guard < fetch-flow change);
-2. wrap the vendor in the corresponding mitigated profile and re-run
-   the closed-form bounds (:func:`~repro.analysis.bounds.profile_sbr_bound`,
-   :func:`~repro.analysis.bounds.obr_bound`) under the wrapper;
+2. wrap the vendor (or one side of the cascade) in the corresponding
+   mitigated profile and re-run the family's closed-form bound under
+   the wrapper (the ``*_residual_bound`` functions below);
 3. recommend the *cheapest* mitigation whose residual worst-case factor
    falls below the threshold (default: the "low" severity boundary),
    keeping the rejected cheaper options — with their residual factors —
@@ -35,30 +35,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.bounds import (
     FaultedSbrBound,
-    ProfileFactory,
     obr_bound,
     profile_ccfc_bound,
     profile_sbr_bound,
-    static_max_n,
+)
+from repro.analysis.families import (
+    OBR,
+    MitigationSpec,
+    family_named,
+    mitigation_profile_factory,
+    parse_subject,
 )
 from repro.analysis.report import (
     AnalysisReport,
     Finding,
     analyze_vendor_matrix,
     severity_for_factor,
-)
-from repro.cdn.vendors import create_profile
-from repro.defense.mitigations import (
-    with_bounded_expansion,
-    with_encoding_normalization,
-    with_encoding_passthrough,
-    with_laziness,
-    with_overlap_rejection,
-    with_slicing,
 )
 from repro.errors import ConfigurationError
 from repro.obs.metrics import current_metrics
@@ -69,148 +65,6 @@ MB = 1 << 20
 #: mitigation is *sufficient* when the residual worst-case factor stays
 #: strictly below it (residual severity "low" or better).
 DEFAULT_THRESHOLD = 10.0
-
-#: Deployment-cost classes, cheapest first: flipping a config option
-#: (G-Core's slice switch, an expansion cap) beats adding an ingress
-#: header guard, which beats restructuring the fetch flow.
-COST_CONFIG_ONLY = 0
-COST_HEADER_GUARD = 1
-COST_FETCH_FLOW = 2
-
-COST_LABELS: Dict[int, str] = {
-    COST_CONFIG_ONLY: "config-only",
-    COST_HEADER_GUARD: "header-guard",
-    COST_FETCH_FLOW: "fetch-flow",
-}
-
-
-@dataclass(frozen=True)
-class MitigationSpec:
-    """One applicable mitigation, with its place in the cost order."""
-
-    #: Wrapper name: ``laziness``, ``bounded-expansion``,
-    #: ``overlap-rejection``, or ``slicing``.
-    name: str
-    #: Which side of the deployment it wraps: ``cdn`` (SBR), ``fcdn``
-    #: or ``bcdn`` (OBR).
-    target: str
-    #: Cost class (``COST_*``).
-    cost: int
-    #: Total evaluation order: candidates are tried rank-ascending and
-    #: the first sufficient one wins, so rank must never contradict cost.
-    rank: int
-    description: str
-
-    @property
-    def cost_label(self) -> str:
-        return COST_LABELS[self.cost]
-
-    @property
-    def label(self) -> str:
-        """``laziness@cdn`` — the name used in tables and metrics."""
-        return f"{self.name}@{self.target}"
-
-
-#: SBR candidates, cheapest first.  Bounded expansion is the smallest
-#: behavioral change (prefetching survives); Laziness gives up
-#: range-driven caching but is still a config flip; the RFC 7233 guard
-#: adds ingress rejection on top of Laziness; slicing restructures the
-#: fetch flow entirely.
-SBR_MITIGATIONS: Tuple[MitigationSpec, ...] = (
-    MitigationSpec(
-        "bounded-expansion",
-        "cdn",
-        COST_CONFIG_ONLY,
-        0,
-        "cap range expansion at 8KB of slack (paper 6-C)",
-    ),
-    MitigationSpec(
-        "laziness",
-        "cdn",
-        COST_CONFIG_ONLY,
-        1,
-        "forward the Range header unchanged (G-Core's fix)",
-    ),
-    MitigationSpec(
-        "overlap-rejection",
-        "cdn",
-        COST_HEADER_GUARD,
-        2,
-        "lazy forwarding plus the RFC 7233 6.1 ingress guard",
-    ),
-    MitigationSpec(
-        "slicing",
-        "cdn",
-        COST_FETCH_FLOW,
-        3,
-        "fetch fixed-size slices and cache them independently",
-    ),
-)
-
-#: OBR candidates, cheapest first.  The honoring back end is the root
-#: cause (Table III), so guarding it outranks guarding the front; the
-#: slice flow coalesces too but costs a fetch-flow change.
-OBR_MITIGATIONS: Tuple[MitigationSpec, ...] = (
-    MitigationSpec(
-        "overlap-rejection",
-        "bcdn",
-        COST_HEADER_GUARD,
-        0,
-        "RFC 7233 6.1 guard + coalescing replies at the back end",
-    ),
-    MitigationSpec(
-        "overlap-rejection",
-        "fcdn",
-        COST_HEADER_GUARD,
-        1,
-        "RFC 7233 6.1 guard at the front end (CDN77's fix)",
-    ),
-    MitigationSpec(
-        "slicing",
-        "bcdn",
-        COST_FETCH_FLOW,
-        2,
-        "slice-based fetching at the back end (coalescing replies)",
-    ),
-)
-
-#: CCFC candidates, cheapest first.  Pass-through is a pure config flip
-#: (stop rewriting Accept-Encoding, stop decompressing); normalization
-#: keeps edge decompression support but clamps the upstream negotiation
-#: to what the client offered, which costs an ingress header guard.
-CCFC_MITIGATIONS: Tuple[MitigationSpec, ...] = (
-    MitigationSpec(
-        "encoding-passthrough",
-        "cdn",
-        COST_CONFIG_ONLY,
-        0,
-        "forward the client's Accept-Encoding untouched (identity pass-through)",
-    ),
-    MitigationSpec(
-        "encoding-normalization",
-        "cdn",
-        COST_HEADER_GUARD,
-        1,
-        "clamp upstream Accept-Encoding to codings the client accepts",
-    ),
-)
-
-_WRAPPERS = {
-    "laziness": with_laziness,
-    "bounded-expansion": with_bounded_expansion,
-    "overlap-rejection": with_overlap_rejection,
-    "slicing": with_slicing,
-    "encoding-passthrough": with_encoding_passthrough,
-    "encoding-normalization": with_encoding_normalization,
-}
-
-
-def mitigation_profile_factory(vendor: str, mitigation: str) -> ProfileFactory:
-    """A fresh-instance factory wrapping ``vendor`` in ``mitigation``."""
-    if mitigation not in _WRAPPERS:
-        raise ConfigurationError(f"unknown mitigation {mitigation!r}")
-    wrapper = _WRAPPERS[mitigation]
-    return lambda: wrapper(create_profile(vendor))
 
 
 @dataclass(frozen=True)
@@ -292,10 +146,10 @@ class RecommendationReport:
 
     recommendations: Tuple[Recommendation, ...]
     threshold: float
-    resource_size: int
-    obr_resource_size: int
+    #: Resource size each family's residuals were computed for, keyed by
+    #: its ``size_field`` (as in :class:`AnalysisReport`).
+    sizes: Dict[str, int]
     with_retries: bool
-    ccfc_resource_size: int = 10 * MB
 
     @property
     def unresolved(self) -> Tuple[Recommendation, ...]:
@@ -312,9 +166,7 @@ class RecommendationReport:
         return json.dumps(
             {
                 "threshold": self.threshold,
-                "resource_size": self.resource_size,
-                "obr_resource_size": self.obr_resource_size,
-                "ccfc_resource_size": self.ccfc_resource_size,
+                **self.sizes,
                 "with_retries": self.with_retries,
                 "all_resolved": self.all_resolved,
                 "recommendations": [r.to_dict() for r in self.recommendations],
@@ -364,14 +216,6 @@ def ccfc_residual_bound(
     return profile_ccfc_bound(vendor, factory, resource_size).factor
 
 
-def _obr_factories(
-    fcdn: str, bcdn: str, spec: MitigationSpec
-) -> Tuple[Optional[ProfileFactory], Optional[ProfileFactory]]:
-    if spec.target == "fcdn":
-        return mitigation_profile_factory(fcdn, spec.name), None
-    return None, mitigation_profile_factory(bcdn, spec.name)
-
-
 def obr_residual_bound(
     fcdn: str, bcdn: str, spec: MitigationSpec, resource_size: int
 ) -> float:
@@ -380,7 +224,7 @@ def obr_residual_bound(
     0.0 when the mitigated cascade admits no overlapping ranges at all
     (the guard rejects every exploitable shape outright).
     """
-    front, back = _obr_factories(fcdn, bcdn, spec)
+    front, back = OBR.mitigated((fcdn, bcdn), spec)
     try:
         return obr_bound(
             fcdn,
@@ -427,120 +271,71 @@ def _record(recommendation: Recommendation) -> None:
         )
 
 
-def _recommend_sbr(
-    finding: Finding,
-    resource_size: int,
-    threshold: float,
-    with_retries: bool,
-) -> Recommendation:
-    vendor = finding.subject
-    options = []
-    for spec in SBR_MITIGATIONS:
-        residual = sbr_residual_bound(vendor, spec.name, resource_size)
-        faulted = (
-            sbr_faulted_residual_bound(vendor, spec.name, resource_size)
-            if with_retries
-            else None
-        )
-        options.append(
-            MitigationOption(
-                spec=spec,
-                residual_factor=residual,
-                faulted_residual_factor=faulted,
-                threshold=threshold,
-            )
-        )
-    chosen, rejected = _pick(options)
-    return Recommendation(
-        finding=finding, chosen=chosen, rejected=rejected, threshold=threshold
-    )
-
-
-def _recommend_ccfc(
-    finding: Finding, ccfc_resource_size: int, threshold: float
-) -> Recommendation:
-    vendor = finding.subject
-    options = []
-    for spec in CCFC_MITIGATIONS:
-        residual = ccfc_residual_bound(vendor, spec.name, ccfc_resource_size)
-        options.append(
-            MitigationOption(
-                spec=spec,
-                residual_factor=residual,
-                faulted_residual_factor=None,
-                threshold=threshold,
-            )
-        )
-    chosen, rejected = _pick(options)
-    return Recommendation(
-        finding=finding, chosen=chosen, rejected=rejected, threshold=threshold
-    )
-
-
-def _recommend_obr(
-    finding: Finding, obr_resource_size: int, threshold: float
-) -> Recommendation:
-    fcdn, bcdn = finding.subject.split(" -> ")
-    options = []
-    for spec in OBR_MITIGATIONS:
-        residual = obr_residual_bound(fcdn, bcdn, spec, obr_resource_size)
-        options.append(
-            MitigationOption(
-                spec=spec,
-                residual_factor=residual,
-                faulted_residual_factor=None,
-                threshold=threshold,
-            )
-        )
-    chosen, rejected = _pick(options)
-    return Recommendation(
-        finding=finding, chosen=chosen, rejected=rejected, threshold=threshold
-    )
-
-
 def recommend(
-    resource_size: int = 10 * MB,
-    obr_resource_size: int = 1024,
+    resource_size: Optional[int] = None,
+    obr_resource_size: Optional[int] = None,
     threshold: float = DEFAULT_THRESHOLD,
     with_retries: bool = False,
     report: Optional[AnalysisReport] = None,
-    ccfc_resource_size: int = 10 * MB,
+    ccfc_resource_size: Optional[int] = None,
 ) -> RecommendationReport:
     """Recommend the cheapest sufficient mitigation per vulnerable finding.
 
-    ``report`` reuses an existing static analysis (it must have been
-    computed for the same sizes); by default the full vendor matrix is
-    analyzed first.  Recommendations keep the report's severity ranking.
+    By default the full vendor matrix is analyzed first, at the given
+    sizes (``None`` takes the family default).  ``report`` reuses an
+    existing static analysis instead: every residual is then evaluated
+    at the report's own sizes, and a size argument that disagrees with
+    the report is a :class:`~repro.errors.ConfigurationError`.
+    Recommendations keep the report's severity ranking.
     """
     if threshold <= 0:
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
+    given = {
+        "resource_size": resource_size,
+        "obr_resource_size": obr_resource_size,
+        "ccfc_resource_size": ccfc_resource_size,
+    }
     if report is None:
         report = analyze_vendor_matrix(
             resource_size=resource_size,
             obr_resource_size=obr_resource_size,
             ccfc_resource_size=ccfc_resource_size,
         )
+    for field, size in given.items():
+        if size is not None and size != report.sizes[field]:
+            raise ConfigurationError(
+                f"{field}={size} conflicts with the report, "
+                f"which was analyzed at {report.sizes[field]}"
+            )
     recommendations: List[Recommendation] = []
     for finding in report.vulnerable:
-        if finding.kind == "sbr":
-            recommendation = _recommend_sbr(
-                finding, resource_size, threshold, with_retries
+        family = family_named(finding.kind)
+        subject = parse_subject(finding.subject)
+        size = report.sizes[family.size_field]
+        options = [
+            MitigationOption(
+                spec=spec,
+                residual_factor=family.residual(subject, spec, size),
+                faulted_residual_factor=(
+                    family.faulted_residual(subject, spec, size)
+                    if with_retries
+                    else None
+                ),
+                threshold=threshold,
             )
-        elif finding.kind == "ccfc":
-            recommendation = _recommend_ccfc(
-                finding, ccfc_resource_size, threshold
-            )
-        else:
-            recommendation = _recommend_obr(finding, obr_resource_size, threshold)
+            for spec in family.mitigations
+        ]
+        chosen, rejected = _pick(options)
+        recommendation = Recommendation(
+            finding=finding, chosen=chosen, rejected=rejected, threshold=threshold
+        )
         _record(recommendation)
         recommendations.append(recommendation)
     return RecommendationReport(
         recommendations=tuple(recommendations),
         threshold=threshold,
-        resource_size=resource_size,
-        obr_resource_size=obr_resource_size,
+        sizes=dict(report.sizes),
         with_retries=with_retries,
-        ccfc_resource_size=ccfc_resource_size,
     )
 
 
@@ -583,97 +378,39 @@ class VerificationCheck:
 def verify_recommendation(
     recommendation: Recommendation,
     sizes: Sequence[int] = QUICK_SIZES,
-    obr_resource_size: int = 1024,
+    report_sizes: Optional[Mapping[str, int]] = None,
 ) -> List[VerificationCheck]:
     """Simulate the attack under the chosen mitigation and compare the
     measured factor against the residual bound (sim <= bound must hold,
     same contract as the clean bounds; for CCFC the bound is exact, so
-    the check is equality up to the <= comparison)."""
-    from repro.core.ccfc import CcfcAttack
-    from repro.core.obr import ObrAttack
-    from repro.core.sbr import SbrAttack
+    the check is equality up to the <= comparison).
 
+    Families verified on the quick grid run once per size in ``sizes``;
+    the others (OBR) run once, at the size the residual was computed for
+    (its entry in ``report_sizes``, else the family default).
+    """
     if recommendation.chosen is None:
         return []
+    family = family_named(recommendation.kind)
     spec = recommendation.chosen.spec
+    subject = parse_subject(recommendation.subject)
+    if not family.verify_on_quick_grid:
+        sizes = ((report_sizes or {}).get(family.size_field, family.default_size),)
     checks: List[VerificationCheck] = []
-    if recommendation.kind == "sbr":
-        vendor = recommendation.subject
-        factory = mitigation_profile_factory(vendor, spec.name)
-        for size in sizes:
-            bound = profile_sbr_bound(vendor, factory, size).factor
-            result = SbrAttack(
-                vendor, resource_size=size, profile_factory=factory
-            ).run()
-            checks.append(
-                VerificationCheck(
-                    kind="sbr",
-                    subject=vendor,
-                    mitigation=spec.label,
-                    resource_size=size,
-                    simulated_factor=result.amplification,
-                    residual_bound=bound,
-                )
+    for size in sizes:
+        simulated = family.simulate(subject, spec, size)
+        if simulated is None:
+            continue  # the mitigation blocks the attack outright
+        checks.append(
+            VerificationCheck(
+                kind=family.name,
+                subject=recommendation.subject,
+                mitigation=spec.label,
+                resource_size=size,
+                simulated_factor=simulated,
+                residual_bound=family.residual(subject, spec, size),
             )
-        return checks
-
-    if recommendation.kind == "ccfc":
-        vendor = recommendation.subject
-        factory = mitigation_profile_factory(vendor, spec.name)
-        for size in sizes:
-            bound = profile_ccfc_bound(vendor, factory, size).factor
-            result = CcfcAttack(
-                vendor, resource_size=size, profile_factory=factory
-            ).run()
-            checks.append(
-                VerificationCheck(
-                    kind="ccfc",
-                    subject=vendor,
-                    mitigation=spec.label,
-                    resource_size=size,
-                    simulated_factor=result.amplification,
-                    residual_bound=bound,
-                )
-            )
-        return checks
-
-    fcdn, bcdn = recommendation.subject.split(" -> ")
-    front, back = _obr_factories(fcdn, bcdn, spec)
-    n = static_max_n(
-        fcdn,
-        bcdn,
-        resource_size=obr_resource_size,
-        fcdn_profile=front,
-        bcdn_profile=back,
-    )
-    if n < 1:
-        # The mitigation blocks the attack outright; nothing to simulate.
-        return []
-    bound = obr_bound(
-        fcdn,
-        bcdn,
-        resource_size=obr_resource_size,
-        overlap_count=n,
-        fcdn_profile=front,
-        bcdn_profile=back,
-    ).factor
-    result = ObrAttack(
-        fcdn,
-        bcdn,
-        resource_size=obr_resource_size,
-        fcdn_profile_factory=front,
-        bcdn_profile_factory=back,
-    ).run(overlap_count=n)
-    checks.append(
-        VerificationCheck(
-            kind="obr",
-            subject=recommendation.subject,
-            mitigation=spec.label,
-            resource_size=obr_resource_size,
-            simulated_factor=result.amplification,
-            residual_bound=bound,
         )
-    )
     return checks
 
 
@@ -687,7 +424,7 @@ def verify_recommendations(
             verify_recommendation(
                 recommendation,
                 sizes=sizes,
-                obr_resource_size=report.obr_resource_size,
+                report_sizes=report.sizes,
             )
         )
     return checks
@@ -706,21 +443,13 @@ def render_recommendations_table(report: RecommendationReport) -> str:
 
 
 __all__ = [
-    "CCFC_MITIGATIONS",
     "DEFAULT_THRESHOLD",
-    "COST_CONFIG_ONLY",
-    "COST_FETCH_FLOW",
-    "COST_HEADER_GUARD",
-    "OBR_MITIGATIONS",
     "QUICK_SIZES",
-    "SBR_MITIGATIONS",
     "MitigationOption",
-    "MitigationSpec",
     "Recommendation",
     "RecommendationReport",
     "VerificationCheck",
     "ccfc_residual_bound",
-    "mitigation_profile_factory",
     "obr_residual_bound",
     "recommend",
     "render_recommendations_table",

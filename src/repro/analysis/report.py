@@ -1,10 +1,12 @@
 """Severity-ranked static findings over vendors, cascades, deployments.
 
 :func:`analyze_vendor_matrix` is the pre-simulation vulnerability
-report: it classifies every registered vendor (SBR) and every FCDN×BCDN
-cell (OBR) from pure configuration probes and attaches the closed-form
-worst-case bounds of :mod:`repro.analysis.bounds`.  No deployment is
-built and no ledger records a byte — the zero-traffic test pins this.
+report: for every family in :data:`~repro.analysis.families.FAMILIES`
+it classifies every subject — each registered vendor (SBR, CCFC), each
+FCDN×BCDN cell (OBR) — from pure configuration probes and attaches the
+closed-form worst-case bounds of :mod:`repro.analysis.bounds`.  No
+deployment is built and no ledger records a byte — the zero-traffic
+test pins this.
 
 :func:`analyze_deployment` applies the same passes to one concrete
 :class:`~repro.core.deployment.Deployment`: the chain's actual vendors,
@@ -13,30 +15,19 @@ configs, overhead model, and origin resource sizes.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
+    from repro.cdn.node import CdnNode
     from repro.core.deployment import Deployment
 
-from repro.analysis.bounds import (
-    CcfcBound,
-    ObrBound,
-    SbrBound,
-    ccfc_bound,
-    obr_bound,
-    sbr_bound,
-)
-from repro.analysis.classify import (
-    CascadeClassification,
-    CcfcClassification,
-    SbrClassification,
-    classify_cascade,
-    classify_ccfc,
-    classify_sbr,
-)
-from repro.cdn.vendors import all_vendor_names
+from repro.analysis.bounds import ProfileFactory
+from repro.analysis.families import FAMILIES, Family, resolve_sizes
+from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.netsim.overhead import OverheadModel
 
 MB = 1 << 20
@@ -91,17 +82,15 @@ class Finding:
         }
 
 
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """All findings from one static-analysis run, severity-ranked."""
 
     findings: Tuple[Finding, ...]
-    #: SBR resource size the bounds were computed for.
-    resource_size: int
-    #: OBR resource size the cascade bounds were computed for.
-    obr_resource_size: int
-    #: CCFC resource size the compression bounds were computed for.
-    ccfc_resource_size: int = 10 * MB
+    #: Resource size each family's bounds were computed for, keyed by
+    #: its ``size_field`` in registry order (the JSON keys).
+    sizes: Dict[str, int]
 
     @property
     def vulnerable(self) -> Tuple[Finding, ...]:
@@ -117,20 +106,12 @@ class AnalysisReport:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(
             {
-                "resource_size": self.resource_size,
-                "obr_resource_size": self.obr_resource_size,
-                "ccfc_resource_size": self.ccfc_resource_size,
+                **self.sizes,
                 "findings": [f.to_dict() for f in self.findings],
             },
             indent=indent,
             sort_keys=False,
         )
-
-
-def _format_size(size: int) -> str:
-    if size >= MB and size % MB == 0:
-        return f"{size // MB}MB"
-    return f"{size}B"
 
 
 def _rank(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
@@ -143,144 +124,10 @@ def _rank(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
     )
 
 
-def _sbr_finding(
-    classification: SbrClassification,
-    resource_size: int,
-    overhead: Optional[OverheadModel],
-) -> Finding:
-    vendor = classification.vendor
-    if not classification.vulnerable:
-        return Finding(
-            kind="safe",
-            severity="info",
-            subject=vendor,
-            mechanism="none",
-            factor_bound=0.0,
-            detail=f"{classification.display_name} forwards ranges lazily; no SBR vector",
-        )
-    bound: SbrBound = sbr_bound(vendor, resource_size, overhead=overhead)
-    return Finding(
-        kind="sbr",
-        severity=severity_for_factor(bound.factor),
-        subject=vendor,
-        mechanism=classification.mechanism,
-        factor_bound=bound.factor,
-        detail=(
-            f"{classification.display_name} amplifies via {classification.mechanism}: "
-            f"<= {bound.factor:.0f}x at {_format_size(resource_size)}"
-        ),
-        data={
-            "resource_size": resource_size,
-            "range_cases": list(bound.range_cases),
-            "origin_fetches": bound.origin_fetches,
-            "origin_bytes_upper": bound.origin_bytes_upper,
-            "client_bytes_lower": bound.client_bytes_lower,
-        },
-    )
-
-
-def _obr_finding(
-    classification: CascadeClassification,
-    resource_size: int,
-    overhead: Optional[OverheadModel],
-) -> Finding:
-    subject = f"{classification.fcdn} -> {classification.bcdn}"
-    mechanism = "laziness+honor" + (
-        " (bypass)" if classification.requires_bypass else ""
-    )
-    bound: ObrBound = obr_bound(
-        classification.fcdn,
-        classification.bcdn,
-        resource_size=resource_size,
-        overhead=overhead,
-    )
-    return Finding(
-        kind="obr",
-        severity=severity_for_factor(bound.factor),
-        subject=subject,
-        mechanism=mechanism,
-        factor_bound=bound.factor,
-        detail=(
-            f"{classification.fcdn} forwards {len(classification.lazy_probes)} "
-            f"overlapping shapes verbatim; {classification.bcdn} honors them "
-            f"(max n = {bound.max_n}, <= {bound.factor:.0f}x)"
-        ),
-        data={
-            "resource_size": resource_size,
-            "max_n": bound.max_n,
-            "part_overhead_upper": bound.part_overhead_upper,
-            "victim_bytes_upper": bound.victim_bytes_upper,
-            "attacker_bytes_lower": bound.attacker_bytes_lower,
-            "requires_bypass": classification.requires_bypass,
-        },
-    )
-
-
-#: Safe-mechanism phrasing for the CCFC findings.
-_CCFC_SAFE_DETAILS = {
-    "forward": "forwards Accept-Encoding untouched; no CCFC vector",
-    "strip": "strips Accept-Encoding toward the origin; no CCFC vector",
-    "normalize": "normalizes Accept-Encoding to the client's codings; no CCFC vector",
-    "rewrite-no-decompress": (
-        "rewrites Accept-Encoding but relays compressed bodies as-is; no CCFC vector"
-    ),
-    "rewrite-incompressible": (
-        "rewrites Accept-Encoding to codings that do not compress; no CCFC vector"
-    ),
-}
-
-
-def _ccfc_finding(
-    classification: CcfcClassification,
-    resource_size: int,
-    overhead: Optional[OverheadModel],
-) -> Finding:
-    vendor = classification.vendor
-    if not classification.vulnerable:
-        detail = _CCFC_SAFE_DETAILS.get(
-            classification.mechanism, "has no compression-conversion vector"
-        )
-        return Finding(
-            kind="safe",
-            severity="info",
-            subject=vendor,
-            mechanism=classification.mechanism,
-            factor_bound=0.0,
-            detail=f"{classification.display_name} {detail}",
-            data={
-                "attack": "ccfc",
-                "encoding_policy": classification.encoding_policy.value,
-                "edge_decompresses": classification.edge_decompresses,
-            },
-        )
-    bound: CcfcBound = ccfc_bound(vendor, resource_size, overhead=overhead)
-    codings = ", ".join(classification.edge_accept_encoding)
-    return Finding(
-        kind="ccfc",
-        severity=severity_for_factor(bound.factor),
-        subject=vendor,
-        mechanism=classification.mechanism,
-        factor_bound=bound.factor,
-        detail=(
-            f"{classification.display_name} rewrites Accept-Encoding to "
-            f"{codings} and inflates at the edge: "
-            f"<= {bound.factor:.0f}x at {_format_size(resource_size)}"
-        ),
-        data={
-            "attack": "ccfc",
-            "resource_size": resource_size,
-            "encoding": bound.encoding,
-            "edge_accept_encoding": list(classification.edge_accept_encoding),
-            "victim_bytes_upper": bound.victim_bytes_upper,
-            "attacker_bytes_lower": bound.attacker_bytes_lower,
-        },
-    )
-
-
 def analyze_vendor_matrix(
-    resource_size: int = 10 * MB,
-    obr_resource_size: int = 1024,
-    ccfc_resource_size: int = 10 * MB,
+    resource_size: Optional[int] = None,
+    obr_resource_size: Optional[int] = None,
+    ccfc_resource_size: Optional[int] = None,
     vendors: Optional[Sequence[str]] = None,
     sbr_overhead: Optional[OverheadModel] = None,
     obr_overhead: Optional[OverheadModel] = None,
@@ -289,39 +136,42 @@ def analyze_vendor_matrix(
     """Statically audit every vendor and every FCDN×BCDN cell.
 
     Purely configuration-driven: decision-table probes plus closed-form
-    bounds.  SBR and CCFC bounds default to payload-only accounting and
-    OBR bounds to TCP-framed accounting, matching the simulated attacks'
-    defaults.  Every vendor gets a CCFC finding — ``kind="ccfc"`` when
-    vulnerable, a ``kind="safe"`` row tagged ``data["attack"]="ccfc"``
-    otherwise — so compression behavior is classified for the whole
-    registry.
+    bounds, one pass per registered family.  Sizes left ``None`` take
+    the family default (10 MB SBR and CCFC, 1 KB OBR).  SBR and CCFC
+    bounds default to payload-only accounting and OBR bounds to
+    TCP-framed accounting, matching the simulated attacks' defaults.
+    Every vendor gets an SBR and a CCFC verdict — the safe CCFC row is
+    tagged ``data["attack"]="ccfc"`` — while only vulnerable cascades
+    are listed.
     """
     names = list(vendors) if vendors is not None else all_vendor_names()
-    findings: List[Finding] = []
-
-    for vendor in names:
-        findings.append(
-            _sbr_finding(classify_sbr(vendor), resource_size, sbr_overhead)
-        )
-        findings.append(
-            _ccfc_finding(classify_ccfc(vendor), ccfc_resource_size, ccfc_overhead)
-        )
-
-    for fcdn in names:
-        for bcdn in names:
-            if fcdn == bcdn:
-                continue
-            cascade = classify_cascade(fcdn, bcdn, resource_size=obr_resource_size)
-            if not cascade.vulnerable:
-                continue
-            findings.append(_obr_finding(cascade, obr_resource_size, obr_overhead))
-
-    return AnalysisReport(
-        findings=_rank(findings),
+    sizes = resolve_sizes(
         resource_size=resource_size,
         obr_resource_size=obr_resource_size,
         ccfc_resource_size=ccfc_resource_size,
     )
+    overheads = {"sbr": sbr_overhead, "obr": obr_overhead, "ccfc": ccfc_overhead}
+    findings: List[Finding] = []
+    family: Family
+    for family in FAMILIES:
+        for subject in permutations(names, len(family.roles)):
+            finding = family.finding(
+                subject, sizes[family.size_field], overheads.get(family.name)
+            )
+            if family.lists_safe or finding.kind != "safe":
+                findings.append(finding)
+    return AnalysisReport(findings=_rank(findings), sizes=sizes)
+
+
+def _own_profile(node: CdnNode) -> Optional[ProfileFactory]:
+    """Fresh copies of a node's profile when it is not a plain registry
+    vendor (a mitigation wrapper, say); ``None`` for a registry vendor,
+    which the classifiers and bounds instantiate by name."""
+    profile = node.profile
+    if type(profile) is profile_class(profile.name):
+        return None
+    snapshot = copy.deepcopy(profile)
+    return lambda: copy.deepcopy(snapshot)
 
 
 def analyze_deployment(
@@ -330,10 +180,11 @@ def analyze_deployment(
 ) -> AnalysisReport:
     """Statically audit one wired deployment without sending traffic.
 
-    Reads the chain's vendors and per-node configs, the ledger's
+    Reads the chain's per-node profiles and configs, the ledger's
     overhead model, and the origin store's resource sizes; classifies
-    each node (SBR) and each adjacent pair (OBR) and bounds them with
-    the deployment's own overhead model.
+    each node (SBR, CCFC) and each adjacent pair (OBR) and bounds them
+    with the deployment's own overhead model.  A node wired with a
+    wrapped profile is classified and bounded as that profile.
     """
     overhead = deployment.ledger.overhead
     store = deployment.origin.store
@@ -342,34 +193,27 @@ def analyze_deployment(
         if resource_sizes is not None
         else sorted({store.get(path).size for path in store.paths()})
     ) or [10 * MB]
+    nodes = deployment.nodes
 
     findings: List[Finding] = []
-    for node in deployment.nodes:
-        classification = classify_sbr(node.profile.name, config=node.config)
-        ccfc_classification = classify_ccfc(node.profile.name)
-        for size in sizes:
-            findings.append(_sbr_finding(classification, size, overhead))
-        findings.append(_ccfc_finding(ccfc_classification, max(sizes), overhead))
+    report_sizes: Dict[str, int] = {}
+    family: Family
+    for family in FAMILIES:
+        family_sizes = family.deployment_sizes(sizes)
+        report_sizes[family.size_field] = max(family_sizes)
+        width = len(family.roles)
+        for window in zip(*(nodes[offset:] for offset in range(width))):
+            subject = tuple(node.profile.name for node in window)
+            if len(set(subject)) < width:
+                continue  # a CDN is not cascaded with itself
+            profiles = tuple(_own_profile(node) for node in window)
+            configs = tuple(node.config for node in window)
+            for size in family_sizes:
+                finding = family.finding(subject, size, overhead, profiles, configs)
+                if family.lists_safe or finding.kind != "safe":
+                    findings.append(finding)
 
-    for front, back in zip(deployment.nodes, deployment.nodes[1:]):
-        if front.profile.name == back.profile.name:
-            continue
-        cascade = classify_cascade(
-            front.profile.name,
-            back.profile.name,
-            resource_size=sizes[0],
-            fcdn_config=front.config,
-        )
-        if not cascade.vulnerable:
-            continue
-        findings.append(_obr_finding(cascade, sizes[0], overhead))
-
-    return AnalysisReport(
-        findings=_rank(findings),
-        resource_size=max(sizes),
-        obr_resource_size=sizes[0],
-        ccfc_resource_size=max(sizes),
-    )
+    return AnalysisReport(findings=_rank(findings), sizes=report_sizes)
 
 
 def render_findings_table(report: AnalysisReport) -> str:
@@ -390,3 +234,4 @@ def render_findings_table(report: AnalysisReport) -> str:
     return render_table(
         ["Severity", "Kind", "Subject", "Mechanism", "Bound", "Detail"], rows
     )
+

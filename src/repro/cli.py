@@ -776,6 +776,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import analyze_vendor_matrix, render_findings_table
+    from repro.analysis.families import FAMILIES
 
     wall_started = time.perf_counter()
     report = analyze_vendor_matrix(
@@ -788,13 +789,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(report.to_json())
     else:
         print(render_findings_table(report))
+        counts = ", ".join(
+            f"{len(report.by_kind(family.name))} {family.label}-vulnerable "
+            f"{'cascade' if family.pair else 'vendor'}(s)"
+            for family in FAMILIES
+        )
+        sizes = " / ".join(
+            f"{family.format_size(report.sizes[family.size_field])} ({family.label})"
+            for family in FAMILIES
+        )
         print(
-            f"\n{len(report.by_kind('sbr'))} SBR-vulnerable vendor(s), "
-            f"{len(report.by_kind('obr'))} OBR-vulnerable cascade(s), "
-            f"{len(report.by_kind('ccfc'))} CCFC-vulnerable vendor(s), "
-            f"{len(report.safe)} safe — bounds at "
-            f"{args.size_mb}MB (SBR) / {args.obr_size}B (OBR) / "
-            f"{args.ccfc_size_mb}MB (CCFC), zero traffic simulated"
+            f"\n{counts}, {len(report.safe)} safe — bounds at {sizes}, "
+            f"zero traffic simulated"
         )
     if args.with_retries and args.format != "json":
         from repro.analysis.bounds import faulted_sbr_bound
@@ -838,6 +844,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
+    from repro.analysis.families import FAMILIES
     from repro.analysis.recommend import (
         DEFAULT_THRESHOLD,
         recommend,
@@ -859,12 +866,17 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         print(report.to_json())
     else:
         print(render_recommendations_table(report))
+        counts = [
+            f"{len(report.by_kind(family.name))} {family.label}"
+            for family in FAMILIES
+        ]
+        sizes = " / ".join(
+            f"{family.format_size(report.sizes[family.size_field])} {family.label}"
+            for family in FAMILIES
+        )
         print(
-            f"\n{len(report.by_kind('sbr'))} SBR, {len(report.by_kind('obr'))} "
-            f"OBR, and {len(report.by_kind('ccfc'))} CCFC finding(s); "
-            f"threshold {threshold:g}x "
-            f"(bounds at {args.size_mb}MB SBR / {args.obr_size}B OBR / "
-            f"{args.ccfc_size_mb}MB CCFC)"
+            f"\n{', '.join(counts[:-1])}, and {counts[-1]} finding(s); "
+            f"threshold {threshold:g}x (bounds at {sizes})"
         )
         if report.unresolved:
             for recommendation in report.unresolved:

@@ -343,11 +343,7 @@ def run_all(
     from repro.analysis.report import analyze_vendor_matrix
 
     def _recommendations() -> RecommendationReport:
-        return recommend(
-            report=analyze_vendor_matrix(
-                resource_size=10 * MB, obr_resource_size=1024, vendors=names
-            )
-        )
+        return recommend(report=analyze_vendor_matrix(vendors=names))
 
     spans: List[Any] = []
     events: List[Any] = []

@@ -6,9 +6,10 @@ its own — the asyncio layer (:mod:`repro.serve.server`) feeds it parsed
 
 * ``POST /v1/analyze`` — batch of items, each a vendor (SBR by
   default, CCFC with ``"attack": "ccfc"``) or an FCDN/BCDN pair (OBR);
-  answers are the closed-form findings of
-  :func:`~repro.analysis.report.analyze_vendor_matrix`, optionally
-  augmented with an exact simulated factor (``"exact": true``);
+  ``"attack"`` names a family of :data:`~repro.analysis.families.FAMILIES`
+  and answers are that family's closed-form finding for the subject,
+  optionally augmented with an exact simulated factor
+  (``"exact": true``);
 * ``POST /v1/recommend`` — same item shapes; answers add the cheapest
   sufficient mitigation from :func:`~repro.analysis.recommend.recommend`;
 * ``GET /healthz`` / ``GET /readyz`` — liveness and drain-aware
@@ -47,11 +48,11 @@ from typing import (
     cast,
 )
 
+from repro.analysis.families import FAMILIES, Family, Subject, resolve_sizes
 from repro.analysis.recommend import DEFAULT_THRESHOLD, recommend
-from repro.analysis.report import AnalysisReport, Finding, analyze_vendor_matrix
+from repro.analysis.report import AnalysisReport, Finding
 from repro.cdn.vendors import all_vendor_names
 from repro.defense.ratelimit import TokenBucket
-from repro.errors import ReproError
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
@@ -77,15 +78,12 @@ MB = 1 << 20
 
 #: A monotonic clock; wall time never enters the service logic.
 Clock = Callable[[], float]
-#: (vendor, resource_size) -> measured amplification factor.
+#: (vendor, resource_size) -> measured amplification factor; replaces
+#: every family's exact measurement when injected.
 ExactRunner = Callable[[str, int], float]
 
 _Result = Tuple[HttpResponse, str]
 _Steps = Generator[None, None, _Result]
-
-
-class ExactSimUnavailable(ReproError):
-    """The exact simulation could not produce a usable measurement."""
 
 
 @dataclass(frozen=True)
@@ -175,18 +173,11 @@ async def drive_async(steps: _Steps) -> _Result:
 class _Item:
     """One validated batch item."""
 
-    kind: str  # "sbr" | "obr" | "ccfc"
-    vendor: str = ""
-    fcdn: str = ""
-    bcdn: str = ""
-    size: int = 0
-    exact: bool = False
-    threshold: float = DEFAULT_THRESHOLD
-    error: Optional[str] = None
-
-    @classmethod
-    def invalid(cls, message: str) -> "_Item":
-        return cls(kind="invalid", error=message)
+    family: Family
+    subject: Subject
+    size: int
+    exact: bool
+    threshold: float
 
 
 class AnalysisService:
@@ -204,9 +195,7 @@ class AnalysisService:
         self.clock: Clock = clock if clock is not None else time.monotonic
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.fault_plan = fault_plan
-        self._exact_runner: ExactRunner = (
-            exact_runner if exact_runner is not None else self._default_exact
-        )
+        self._exact_runner = exact_runner
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
             reset_timeout_s=self.config.breaker_reset_timeout_s,
@@ -423,54 +412,43 @@ class AnalysisService:
             outcome = "ok"
         return response, outcome
 
-    def _parse_item(self, raw: Any) -> _Item:
+    def _parse_item(self, raw: Any) -> Union[_Item, str]:
+        """A validated item, or the error string explaining why not."""
         if not isinstance(raw, dict):
-            return _Item.invalid("item must be an object")
+            return "item must be an object"
         has_vendor = "vendor" in raw
         has_pair = "fcdn" in raw or "bcdn" in raw
         if has_vendor == has_pair:
-            return _Item.invalid(
-                'item needs either "vendor" (SBR/CCFC) or "fcdn"+"bcdn" (OBR)'
+            vendor_labels = "/".join(f.label for f in FAMILIES if not f.pair)
+            pair_labels = "/".join(f.label for f in FAMILIES if f.pair)
+            return (
+                f'item needs either "vendor" ({vendor_labels}) '
+                f'or "fcdn"+"bcdn" ({pair_labels})'
             )
         attack = raw.get("attack")
-        if attack is not None and attack not in ("sbr", "obr", "ccfc"):
-            return _Item.invalid(f"unknown attack {attack!r}")
+        named = [f for f in FAMILIES if attack is None or f.name == attack]
+        if not named:
+            return f"unknown attack {attack!r}"
+        shaped = [f for f in named if f.pair == has_pair]
+        if not shaped:
+            if has_vendor:
+                return f'attack "{attack}" needs "fcdn"+"bcdn"'
+            return f'attack {attack!r} needs "vendor"'
+        family = shaped[0]
+        subject: Subject
         if has_vendor:
-            if attack == "obr":
-                return _Item.invalid('attack "obr" needs "fcdn"+"bcdn"')
             vendor = raw["vendor"]
             if vendor not in self._vendors:
-                return _Item.invalid(f"unknown vendor {vendor!r}")
-            tail = self._parse_tail(raw, default_size=10 * MB)
-            if isinstance(tail, str):
-                return _Item.invalid(tail)
-            size, exact, threshold = tail
-            return _Item(
-                kind=attack if attack is not None else "sbr",
-                vendor=vendor, size=size, exact=exact,
-                threshold=threshold,
-            )
-        if attack is not None and attack != "obr":
-            return _Item.invalid(f'attack {attack!r} needs "vendor"')
-        fcdn, bcdn = raw.get("fcdn"), raw.get("bcdn")
-        if fcdn not in self._vendors or bcdn not in self._vendors:
-            return _Item.invalid(f"unknown cascade {fcdn!r} -> {bcdn!r}")
-        if fcdn == bcdn:
-            return _Item.invalid("fcdn and bcdn must differ")
-        tail = self._parse_tail(raw, default_size=1024)
-        if isinstance(tail, str):
-            return _Item.invalid(tail)
-        size, exact, threshold = tail
-        return _Item(
-            kind="obr", fcdn=fcdn, bcdn=bcdn, size=size, exact=exact,
-            threshold=threshold,
-        )
-
-    def _parse_tail(
-        self, raw: Dict[str, Any], default_size: int
-    ) -> Union[str, Tuple[int, bool, float]]:
-        """Validate the shared item fields; an error string on failure."""
-        size = raw.get("size", default_size)
+                return f"unknown vendor {vendor!r}"
+            subject = (vendor,)
+        else:
+            fcdn, bcdn = raw.get("fcdn"), raw.get("bcdn")
+            if fcdn not in self._vendors or bcdn not in self._vendors:
+                return f"unknown cascade {fcdn!r} -> {bcdn!r}"
+            if fcdn == bcdn:
+                return "fcdn and bcdn must differ"
+            subject = (fcdn, bcdn)
+        size = raw.get("size", family.default_size)
         if isinstance(size, bool) or not isinstance(size, int):
             return "size must be an integer"
         if not 1 <= size <= self.config.max_resource_size:
@@ -483,12 +461,12 @@ class AnalysisService:
             return "threshold must be a number"
         if threshold <= 0:
             return "threshold must be > 0"
-        return size, exact, float(threshold)
+        return _Item(family, subject, size, exact, float(threshold))
 
     def _run_item(self, endpoint: str, raw: Any) -> Dict[str, Any]:
         item = self._parse_item(raw)
-        if item.error is not None:
-            return {"error": f"invalid item: {item.error}"}
+        if isinstance(item, str):
+            return {"error": f"invalid item: {item}"}
         finding = self._finding(item)
         out: Dict[str, Any] = {"finding": finding.to_dict()}
         if endpoint == "recommend":
@@ -500,62 +478,11 @@ class AnalysisService:
     # -- findings and recommendations (memoized) ----------------------------
 
     def _finding(self, item: _Item) -> Finding:
-        if item.kind == "sbr":
-            key = ("sbr", item.vendor, item.size)
-
-            def compute_sbr() -> Finding:
-                # Select by kind: the single-vendor matrix also carries
-                # the CCFC finding, which can outrank the SBR one.
-                report = analyze_vendor_matrix(
-                    resource_size=item.size, vendors=[item.vendor]
-                )
-                for finding in report.by_kind("sbr"):
-                    return finding
-                for finding in report.by_kind("safe"):
-                    if finding.data.get("attack") != "ccfc":
-                        return finding
-                return report.findings[0]
-
-            return cast(Finding, self.memo.get_or_compute(
-                "findings", key, compute_sbr
-            ))
-        if item.kind == "ccfc":
-            key = ("ccfc", item.vendor, item.size)
-
-            def compute_ccfc() -> Finding:
-                report = analyze_vendor_matrix(
-                    ccfc_resource_size=item.size, vendors=[item.vendor]
-                )
-                for finding in report.by_kind("ccfc"):
-                    return finding
-                for finding in report.by_kind("safe"):
-                    if finding.data.get("attack") == "ccfc":
-                        return finding
-                return report.findings[0]
-
-            return cast(Finding, self.memo.get_or_compute(
-                "findings", key, compute_ccfc
-            ))
-        key = ("obr", item.fcdn, item.bcdn, item.size)
-
-        def compute_obr() -> Finding:
-            report = analyze_vendor_matrix(
-                obr_resource_size=item.size, vendors=[item.fcdn, item.bcdn]
-            )
-            subject = f"{item.fcdn} -> {item.bcdn}"
-            for finding in report.by_kind("obr"):
-                if finding.subject == subject:
-                    return finding
-            return Finding(
-                kind="safe",
-                severity="info",
-                subject=subject,
-                mechanism="none",
-                factor_bound=0.0,
-                detail=f"{subject} has no OBR vector",
-            )
-
-        return cast(Finding, self.memo.get_or_compute("findings", key, compute_obr))
+        family = item.family
+        key = (family.name, *item.subject, item.size)
+        return cast(Finding, self.memo.get_or_compute(
+            "findings", key, lambda: family.finding(item.subject, item.size)
+        ))
 
     def _recommendation(self, item: _Item, finding: Finding) -> Dict[str, Any]:
         if finding.kind == "safe":
@@ -563,20 +490,11 @@ class AnalysisService:
         key = ("rec", finding.kind, finding.subject, item.size, item.threshold)
 
         def compute() -> Dict[str, Any]:
-            report = AnalysisReport(
-                findings=(finding,),
-                resource_size=item.size if finding.kind == "sbr" else 10 * MB,
-                obr_resource_size=item.size if finding.kind == "obr" else 1024,
-                ccfc_resource_size=item.size if finding.kind == "ccfc" else 10 * MB,
-            )
-            result = recommend(
-                resource_size=report.resource_size,
-                obr_resource_size=report.obr_resource_size,
-                threshold=item.threshold,
-                report=report,
-                ccfc_resource_size=report.ccfc_resource_size,
-            )
-            recommendation = result.recommendations[0]
+            sizes = resolve_sizes(**{item.family.size_field: item.size})
+            report = AnalysisReport(findings=(finding,), sizes=sizes)
+            recommendation = recommend(
+                threshold=item.threshold, report=report
+            ).recommendations[0]
             return {
                 "recommendation": recommendation.to_dict(),
                 "resolved": recommendation.resolved,
@@ -590,9 +508,10 @@ class AnalysisService:
     # -- the breaker-guarded exact path -------------------------------------
 
     def _exact(self, item: _Item, finding: Finding) -> Dict[str, Any]:
-        if finding.kind not in ("sbr", "ccfc"):
+        if finding.kind != item.family.name or not item.family.measurable:
+            labels = "/".join(f.label for f in FAMILIES if f.measurable)
             return {
-                "exact_skipped": "exact measurement applies to SBR/CCFC items only"
+                "exact_skipped": f"exact measurement applies to {labels} items only"
             }
         if item.size > self.config.exact_max_size:
             return {
@@ -605,10 +524,7 @@ class AnalysisService:
             return {"degraded": True, "degraded_reason": "breaker-open"}
         started = self.clock()
         try:
-            if finding.kind == "ccfc":
-                factor = self._exact_ccfc(item.vendor, item.size)
-            else:
-                factor = self._exact_runner(item.vendor, item.size)
+            factor = self._measure(item)
         except Exception as exc:
             self.breaker.record_failure(self.clock())
             return {
@@ -623,41 +539,16 @@ class AnalysisService:
             self.breaker.record_success(self.clock())
         return {"exact_factor": round(factor, 2)}
 
-    def _exact_ccfc(self, vendor: str, size: int) -> float:
-        """Exact CCFC measurement (memoized; no fault-plan variant — the
-        CCFC flow has no range algebra for faults to perturb)."""
-
-        def compute() -> float:
-            from repro.runner.memo import measure_ccfc
-
-            return float(measure_ccfc(vendor, size).amplification)
-
-        return cast(
-            float,
-            self.memo.get_or_compute("exact", ("ccfc", vendor, size), compute),
-        )
-
-    def _default_exact(self, vendor: str, size: int) -> float:
+    def _measure(self, item: _Item) -> float:
+        if self._exact_runner is not None:
+            return self._exact_runner(item.subject[0], item.size)
+        family = item.family
         if self.fault_plan is not None:
             # A fault plan is stateful across calls; bypass the memo so
             # the breaker sees the true failure/recovery sequence.
-            from repro.faults.experiment import measure_sbr_under_faults
+            return family.measure(item.subject, item.size, self.fault_plan)
+        key = (family.name, *item.subject, item.size)
+        return cast(float, self.memo.get_or_compute(
+            "exact", key, lambda: family.measure(item.subject, item.size)
+        ))
 
-            result = measure_sbr_under_faults(
-                vendor, size, plan=self.fault_plan, rounds=1
-            )
-            if result.exhausted_fetches > 0:
-                raise ExactSimUnavailable(
-                    f"{result.exhausted_fetches} origin fetch(es) exhausted "
-                    f"the retry budget under faults"
-                )
-            return float(result.amplification)
-
-        def compute() -> float:
-            from repro.runner.memo import measure_sbr
-
-            return float(measure_sbr(vendor, size).amplification)
-
-        return cast(
-            float, self.memo.get_or_compute("exact", (vendor, size), compute)
-        )

@@ -16,6 +16,7 @@ from repro.analysis.callgraph import (
     CallGraphError,
     build_callgraph,
 )
+from repro.analysis.purity import default_config
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "purity_demo"
 
@@ -27,13 +28,7 @@ def demo() -> CallGraph:
 
 @pytest.fixture(scope="module")
 def repo() -> CallGraph:
-    return build_callgraph(
-        dispatch={
-            "repro.runner.experiments.execute_cell": [
-                "@registered:repro.runner.experiments"
-            ]
-        }
-    )
+    return build_callgraph(dispatch=default_config().dispatch_map())
 
 
 def _callees(graph: CallGraph, qualname: str) -> set:
@@ -163,6 +158,43 @@ class TestLiveRepoEdges:
         callees = _callees(repo, "repro.runner.experiments.execute_cell")
         assert "repro.runner.experiments._run_sbr_cell" in callees
         assert "repro.runner.experiments._run_flood_cell" in callees
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            "repro.analysis.recommend.recommend",
+            "repro.analysis.report.analyze_vendor_matrix",
+            "repro.serve.app.AnalysisService.handle",
+        ],
+    )
+    def test_family_registry_is_seen_through(self, repo: CallGraph, root: str) -> None:
+        # Consumers call family records through the Family base class;
+        # the declared dispatch must keep the classifiers, bounds and
+        # residuals behind them reachable.
+        reached = set()
+        stack = [root]
+        while stack:
+            qualname = stack.pop()
+            if qualname in reached or qualname not in repo:
+                continue
+            reached.add(qualname)
+            stack.extend(site.callee for site in repo.node(qualname).calls)
+        expected = {
+            "repro.analysis.classify.classify_cascade",
+            "repro.analysis.classify.classify_ccfc",
+            "repro.analysis.bounds.sbr_bound",
+        }
+        if root != "repro.analysis.report.analyze_vendor_matrix":
+            expected |= {
+                f"repro.analysis.recommend.{name}"
+                for name in (
+                    "sbr_residual_bound",
+                    "sbr_faulted_residual_bound",
+                    "ccfc_residual_bound",
+                    "obr_residual_bound",
+                )
+            }
+        assert expected <= reached
 
     def test_seeded_random_distinguished(self, repo: CallGraph) -> None:
         # RangeCorpusGenerator holds a random.Random(seed); its calls

@@ -1,8 +1,38 @@
-"""CLI coverage for ``repro analyze`` and ``repro lint``."""
+"""CLI coverage for ``repro analyze``, ``repro recommend`` and ``repro lint``."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
+
+#: Byte-exact ``repro analyze``/``recommend`` stdout.  Regenerate a file
+#: with e.g. ``python -m repro recommend --format json >
+#: tests/golden/analysis/recommend.json`` only when a change means to
+#: alter the output, and say why.
+GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "analysis"
+SIZED = ["--size-mb", "3", "--obr-size", "2048", "--ccfc-size-mb", "5"]
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("analyze.txt", ["analyze"]),
+        ("analyze.json", ["analyze", "--format", "json"]),
+        ("recommend.txt", ["recommend"]),
+        ("recommend.json", ["recommend", "--format", "json"]),
+        ("analyze_sized.txt", ["analyze", *SIZED]),
+        ("analyze_sized.json", ["analyze", *SIZED, "--format", "json"]),
+        ("recommend_sized.txt", ["recommend", *SIZED]),
+        ("recommend_sized.json", ["recommend", *SIZED, "--format", "json"]),
+        ("analyze_with_retries.txt", ["analyze", "--with-retries"]),
+    ],
+)
+def test_output_matches_golden(golden, argv, capsys):
+    assert main(argv) == 0
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 class TestAnalyzeTable:

@@ -22,15 +22,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bounds import profile_sbr_bound, sbr_bound
-from repro.analysis.recommend import (
+from repro.analysis.families import (
     COST_CONFIG_ONLY,
-    DEFAULT_THRESHOLD,
     OBR_MITIGATIONS,
     SBR_MITIGATIONS,
-    MitigationOption,
     MitigationSpec,
-    _pick,
     mitigation_profile_factory,
+)
+from repro.analysis.recommend import (
+    DEFAULT_THRESHOLD,
+    MitigationOption,
+    _pick,
     recommend,
     render_recommendations_table,
     verify_recommendations,
@@ -258,6 +260,24 @@ class TestSurveyCoverage:
         assert report.all_resolved
         for recommendation in report.recommendations:
             assert recommendation.chosen.residual_factor < DEFAULT_THRESHOLD
+
+
+class TestReportSizes:
+    SIZES = dict(
+        resource_size=1 * MB, obr_resource_size=4096, ccfc_resource_size=2 * MB
+    )
+
+    def test_reused_report_sets_every_residual_size(self):
+        reused = recommend(report=analyze_vendor_matrix(**self.SIZES))
+        assert reused.to_json() == recommend(**self.SIZES).to_json()
+        decoded = json.loads(reused.to_json())
+        for field, size in self.SIZES.items():
+            assert decoded[field] == size
+
+    def test_size_conflicting_with_the_report_is_rejected(self):
+        analysis = analyze_vendor_matrix(vendors=("gcore",), **self.SIZES)
+        with pytest.raises(ConfigurationError):
+            recommend(resource_size=10 * MB, report=analysis)
 
 
 class TestMetrics:

@@ -9,6 +9,8 @@ records no ledger byte.
 
 import json
 
+import pytest
+
 from repro.analysis import (
     analyze_deployment,
     analyze_vendor_matrix,
@@ -17,9 +19,19 @@ from repro.analysis import (
     classify_sbr,
     render_findings_table,
 )
+from repro.analysis.families import OBR_MITIGATIONS, mitigation_profile_factory
+from repro.analysis.recommend import (
+    DEFAULT_THRESHOLD,
+    ccfc_residual_bound,
+    obr_residual_bound,
+    sbr_residual_bound,
+)
 from repro.analysis.report import SEVERITY_ORDER
 from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS, all_vendor_names
+from repro.core.ccfc import CcfcAttack
 from repro.core.deployment import CdnSpec, Deployment
+from repro.core.obr import ObrAttack
+from repro.core.sbr import SbrAttack
 from repro.core.feasibility import survey
 from repro.core.obr import vulnerable_combinations
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -77,7 +89,7 @@ class TestVendorMatrixCoverage:
     def test_json_round_trips(self):
         report = analyze_vendor_matrix()
         decoded = json.loads(report.to_json())
-        assert decoded["resource_size"] == report.resource_size
+        assert decoded["resource_size"] == report.sizes["resource_size"]
         assert len(decoded["findings"]) == len(report.findings)
 
     def test_table_renders_every_finding(self):
@@ -139,3 +151,48 @@ class TestDeploymentAnalysis:
         assert any(
             f.subject == "cdn77 -> akamai" for f in report.by_kind("obr")
         )
+
+    @pytest.mark.parametrize(
+        "kind, subject, size",
+        [
+            ("sbr", "gcore", 4 * MB),
+            ("ccfc", "cloudflare", 4 * MB),
+            ("obr", "cdn77 -> akamai", 1024),
+        ],
+    )
+    def test_wrapped_nodes_are_analyzed_as_wired(self, kind, subject, size):
+        """A node wired with a mitigated profile is classified and bounded
+        as that profile, not as the bare vendor it wraps."""
+        origin = OriginServer()
+        origin.add_synthetic_resource("/x.bin", size)
+        if kind == "obr":
+            fcdn, bcdn = subject.split(" -> ")
+            spec = OBR_MITIGATIONS[0]  # overlap-rejection at the back end
+            factory = mitigation_profile_factory(bcdn, spec.name)
+            deployment = Deployment.cascade(
+                CdnSpec(vendor=fcdn), CdnSpec(profile=factory()), origin
+            )
+            simulated = ObrAttack(
+                fcdn, bcdn, resource_size=size, bcdn_profile_factory=factory
+            ).run(overlap_count=64).amplification
+            residual = obr_residual_bound(fcdn, bcdn, spec, size)
+        else:
+            mitigation, attack, residual_bound = {
+                "sbr": ("laziness", SbrAttack, sbr_residual_bound),
+                "ccfc": ("encoding-passthrough", CcfcAttack, ccfc_residual_bound),
+            }[kind]
+            factory = mitigation_profile_factory(subject, mitigation)
+            deployment = Deployment.single(CdnSpec(profile=factory()), origin)
+            simulated = attack(
+                subject, resource_size=size, profile_factory=factory
+            ).run().amplification
+            residual = residual_bound(subject, mitigation, size)
+
+        report = analyze_deployment(deployment)
+        flagged = [f for f in report.by_kind(kind) if f.subject == subject]
+        if not flagged:
+            assert simulated < DEFAULT_THRESHOLD
+            return
+        (finding,) = flagged
+        assert finding.factor_bound >= simulated
+        assert finding.factor_bound == residual

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.analysis.recommend import recommend
+from repro.analysis.report import analyze_vendor_matrix
+from repro.cdn.vendors import all_vendor_names
+from repro.core.obr import vulnerable_combinations
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.http.message import HttpRequest
 from repro.serve.app import AnalysisService, ServeConfig
@@ -18,6 +24,30 @@ MB = 1 << 20
 
 def get(service, path):
     return service.handle(HttpRequest(method="GET", target=path))
+
+
+#: Every vendor under both vendor families, every vulnerable cascade,
+#: and one safe pair.
+LIBRARY_ITEMS = (
+    [
+        {"vendor": vendor, **({"attack": attack} if attack else {})}
+        for vendor in all_vendor_names()
+        for attack in (None, "ccfc")
+    ]
+    + [{"fcdn": fcdn, "bcdn": bcdn} for fcdn, bcdn in vulnerable_combinations()]
+    + [{"fcdn": "akamai", "bcdn": "cdn77"}]
+)
+
+
+def _item_id(item):
+    return "-".join(str(value) for value in item.values())
+
+
+@pytest.fixture(scope="module")
+def library():
+    """The analyze and recommend reports at the default sizes."""
+    matrix = analyze_vendor_matrix()
+    return matrix, recommend(report=matrix)
 
 
 class TestRouting:
@@ -200,16 +230,38 @@ class TestAnalyzeBatch:
         assert payload["degraded"] is False
         assert calls == []  # the exact runner never fires for OBR
 
-    def test_answers_match_the_analyze_command(self):
-        from repro.analysis.report import analyze_vendor_matrix
-
-        service = AnalysisService()
-        response = service.handle(
-            batch_request("/v1/analyze", [{"vendor": "huawei", "size": MB}])
-        )
-        served = body_json(response)["results"][0]["finding"]
-        direct = analyze_vendor_matrix(resource_size=MB, vendors=["huawei"])
-        assert served == direct.findings[0].to_dict()
+    @pytest.mark.parametrize("item", LIBRARY_ITEMS, ids=_item_id)
+    def test_answers_match_the_analyze_command(self, item, library):
+        """Both endpoints answer exactly what the library reports for
+        the same subject at the default sizes."""
+        matrix, recommendations = library
+        kind = item.get("attack", "obr" if "fcdn" in item else "sbr")
+        subject = item.get("vendor") or f"{item['fcdn']} -> {item['bcdn']}"
+        rows = [
+            f
+            for f in matrix.findings
+            if f.subject == subject
+            and kind in (f.kind, f.data.get("attack", "sbr"))
+        ]
+        analyzed = body_json(
+            AnalysisService().handle(batch_request("/v1/analyze", [item]))
+        )["results"][0]
+        recommended = body_json(
+            AnalysisService().handle(batch_request("/v1/recommend", [item]))
+        )["results"][0]
+        assert recommended["finding"] == analyzed["finding"]
+        if not rows:  # a cascade the matrix does not list: no OBR vector
+            assert analyzed["finding"]["kind"] == "safe"
+            assert recommended["recommendation"] is None
+            return
+        (row,) = rows
+        assert analyzed["finding"] == row.to_dict()
+        expected = [
+            r.to_dict()
+            for r in recommendations.recommendations
+            if r.kind == row.kind and r.subject == subject
+        ]
+        assert [recommended["recommendation"]] == (expected or [None])
 
 
 class TestRecommendBatch:
