@@ -5,10 +5,10 @@ on, so regressions in the simulator itself are visible — Range parsing,
 multipart assembly at OBR scale, the full single-CDN pipeline, and the
 disabled-observability overhead (the NullTracer path must stay free).
 
-The run-all benchmark at the bottom additionally persists the
-schema-versioned ``BENCH_runall.json`` observation to
-``benchmarks/output/`` — the same trajectory file ``repro run-all
---bench`` writes, so local bench runs and CI gate on one format.
+The run-all benchmark at the bottom additionally persists its run
+record as ``BENCH_runall.json`` in ``benchmarks/output/`` — the same
+one-line ledger record ``repro run-all --output-dir`` writes there, so
+``repro obs diff --gate`` compares it with any other run.
 """
 
 import time
@@ -118,14 +118,15 @@ def test_sbr_pipeline_round_traced(benchmark):
 
 
 def test_run_all_quick_fastpath(benchmark, output_dir):
-    """Quick run-all through the closed-form fast path, persisting the
-    ``BENCH_runall.json`` trajectory observation.
+    """Quick run-all through the closed-form fast path, persisting its
+    run record (built by ``record_from_runall``) as ``BENCH_runall.json``.
 
-    Serial on purpose: the observation tracks the fast path and the
-    residual simulation, not pool scaling.
+    Serial on purpose: the record tracks the fast path and the residual
+    simulation, not pool scaling.
     """
     from benchmarks.conftest import save_artifact
-    from repro.reporting.bench import BENCH_FILENAME, bench_from_runall
+    from repro.faults.experiment import DEFAULT_FAULT_SEED
+    from repro.obs.runlog import BENCH_FILENAME, record_from_runall
     from repro.runner.memo import clear_all_memos
     from repro.runner.runall import run_all
 
@@ -138,5 +139,7 @@ def test_run_all_quick_fastpath(benchmark, output_dir):
     report, wall_s = benchmark(regenerate)
     assert report.fastpath is not None
     assert report.fastpath.answered > 0
-    bench = bench_from_runall(report, "run-all-quick", wall_s=wall_s)
-    save_artifact(output_dir, BENCH_FILENAME, bench.to_json() + "\n")
+    config = {"quick": True, "exact": False, "faults": False,
+              "fault_seed": DEFAULT_FAULT_SEED, "workers": 1}
+    record = record_from_runall(report, "run-all-quick", config, wall_s=wall_s)
+    save_artifact(output_dir, BENCH_FILENAME, record.to_json() + "\n")

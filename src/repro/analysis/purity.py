@@ -249,11 +249,6 @@ DEFAULT_SINKS: Tuple[SinkSpec, ...] = (
         "output directories byte for byte",
     ),
     SinkSpec(
-        "repro.reporting.bench.BenchReport.write",
-        "bench-artifact",
-        "persists the schema-versioned benchmark observation",
-    ),
-    SinkSpec(
         "repro.runner.grid.ExperimentGrid.add",
         "grid-merge",
         "grid order defines result order; the merge contract parallel "

@@ -13,6 +13,7 @@ Commands map one-to-one onto the paper's experiments:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
@@ -41,10 +42,11 @@ def _ranged(
     maximum: Optional[Number] = None,
     exclusive: bool = False,
 ) -> Callable[[str], Number]:
-    """An argparse ``type`` for numbers in ``[minimum, maximum]``.
+    """An argparse ``type`` for finite numbers in ``[minimum, maximum]``.
 
-    ``exclusive`` excludes ``minimum`` itself.  Out-of-range values are
-    usage errors: argparse prints the reason and exits 2.
+    ``exclusive`` excludes ``minimum`` itself.  Out-of-range values,
+    ``nan`` and ``inf`` are usage errors: argparse prints the reason and
+    exits 2.
     """
     if maximum is not None:
         expected = f"in [{minimum}, {maximum}]"
@@ -54,7 +56,8 @@ def _ranged(
     def parse(text: str) -> Number:
         value = cast(text)
         if (
-            value < minimum
+            not -math.inf < value < math.inf  # NaN fails every comparison
+            or value < minimum
             or (exclusive and value == minimum)
             or (maximum is not None and value > maximum)
         ):
@@ -69,6 +72,7 @@ _SIZE_MB = _ranged(int, 1, MAX_RESOURCE_SIZE // MB)
 _SIZE_BYTES = _ranged(int, 1, MAX_RESOURCE_SIZE)
 _COUNT = _ranged(int, 1)
 _POSITIVE = _ranged(float, 0, exclusive=True)
+_NON_NEGATIVE = _ranged(float, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -356,14 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "path the fast path is differentially tested against)",
     )
     run_all.add_argument(
-        "--bench", nargs="?", const="BENCH_runall.json", default=None,
-        metavar="PATH",
-        help="write the schema-versioned benchmark observation (wall "
-             "clock, cells/sec, fast-path hit rate, per-phase breakdown) "
-             "to PATH; with --output-dir it is also written there by "
-             "default",
-    )
-    run_all.add_argument(
         "--runlog", nargs="?", const="runlog.jsonl", default=None,
         metavar="PATH",
         help="append the full run record (config digest, phase and "
@@ -385,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run ledger to read (default: runlog.jsonl)",
     )
     obs_runs.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_COUNT, default=None, metavar="N",
         help="show only the newest N runs",
     )
     obs_runs.add_argument(
@@ -407,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run ledger to read (default: runlog.jsonl)",
     )
     obs_top.add_argument(
-        "-n", "--count", type=int, default=10, metavar="N",
+        "-n", "--count", type=_COUNT, default=10, metavar="N",
         help="entries to show (default: 10)",
     )
     obs_top.add_argument(
@@ -429,22 +425,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs_diff.add_argument(
         "--gate", action="store_true",
-        help="exit nonzero when any cell slows past the threshold or "
-             "any factor drifts past tolerance (the CI regression gate)",
+        help="exit nonzero when the wall clock, the measure phase or any "
+             "cell slows past the threshold, the fast-path hit rate drops, "
+             "or any factor drifts past tolerance (the CI regression gate)",
     )
     obs_diff.add_argument(
-        "--threshold", type=float, default=0.5, metavar="R",
+        "--threshold", type=_NON_NEGATIVE, default=0.5, metavar="R",
         help="slowdown ratio over 1.0 that trips the timing gate "
              "(default: 0.5, i.e. 50%% slower)",
     )
     obs_diff.add_argument(
-        "--min-seconds", type=float, default=0.1, dest="min_seconds",
+        "--min-seconds", type=_NON_NEGATIVE, default=0.1, dest="min_seconds",
         metavar="S",
         help="ignore cells faster than this in the after run — too "
              "noisy to gate on (default: 0.1)",
     )
     obs_diff.add_argument(
-        "--factor-tolerance", type=float, default=1e-6,
+        "--factor-tolerance", type=_NON_NEGATIVE, default=1e-6,
         dest="factor_tolerance", metavar="T",
         help="relative amplification-factor drift allowed before the "
              "gate fails (default: 1e-6)",
@@ -732,23 +729,17 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         label += "-exact"
     if args.faults:
         label += "-faults"
-    if args.output_dir is not None or args.bench is not None:
-        from repro.reporting.bench import bench_from_runall
-
-        bench = bench_from_runall(report, label, wall_s=wall_s)
-        if args.output_dir is not None:
-            for path in write_report(report, args.output_dir):
-                print(f"wrote {path}")
-                written_artifacts.append(path)
-            bench_path = bench.write(Path(args.output_dir))
-            print(f"wrote {bench_path}")
-            written_artifacts.append(bench_path)
-        if args.bench is not None:
-            bench_path = bench.write(args.bench)
-            print(f"wrote {bench_path}")
-            written_artifacts.append(bench_path)
-    if args.runlog is not None:
-        from repro.obs.runlog import RunLedger, artifact_digest, record_from_runall
+    if args.output_dir is not None:
+        for path in write_report(report, args.output_dir):
+            print(f"wrote {path}")
+            written_artifacts.append(path)
+    if args.output_dir is not None or args.runlog is not None:
+        from repro.obs.runlog import (
+            BENCH_FILENAME,
+            RunLedger,
+            artifact_digest,
+            record_from_runall,
+        )
 
         config = {
             "quick": args.quick,
@@ -759,18 +750,23 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             ),
             "workers": report.workers,
         }
-        record = RunLedger(args.runlog).append(
-            record_from_runall(
-                report,
-                label,
-                config,
-                wall_s=wall_s,
-                artifacts={
-                    path.name: artifact_digest(path) for path in written_artifacts
-                },
-            )
+        record = record_from_runall(
+            report,
+            label,
+            config,
+            wall_s=wall_s,
+            artifacts={
+                path.name: artifact_digest(path) for path in written_artifacts
+            },
         )
-        print(f"runlog: appended run {record.run_id} ({label}) to {args.runlog}")
+        if args.output_dir is not None:
+            # The run's ledger line doubles as its benchmark observation.
+            bench_path = Path(args.output_dir) / BENCH_FILENAME
+            bench_path.write_text(record.to_json() + "\n", encoding="utf-8")
+            print(f"wrote {bench_path}")
+        if args.runlog is not None:
+            RunLedger(args.runlog).append(record)
+            print(f"runlog: appended run {record.run_id} ({label}) to {args.runlog}")
     return 0
 
 
@@ -959,7 +955,7 @@ def _cmd_obs_runs(args: argparse.Namespace) -> int:
 
     records = RunLedger(args.ledger).load()
     offset = 0
-    if args.limit is not None and 0 < args.limit < len(records):
+    if args.limit is not None and args.limit < len(records):
         offset = len(records) - args.limit
         records = records[offset:]
     if args.format == "json":
@@ -1045,7 +1041,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     import json
-    import math
 
     from repro.obs.runlog import RunLedger, diff_runs
     from repro.reporting.render import format_duration
@@ -1069,6 +1064,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
             "removed_cells": list(diff.removed_cells),
             "added_factors": list(diff.added_factors),
             "removed_factors": list(diff.removed_factors),
+            "run_regressions": diff.run_regressions(),
             "timing_regressions": [
                 {
                     "label": delta.label,
@@ -1100,10 +1096,16 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
             f"{len(diff.cells)} shared cell(s), "
             f"{len(diff.added_cells)} added, {len(diff.removed_cells)} removed"
         )
-        print(
+        summary = (
             f"wall: {format_duration(diff.before.wall_s)} -> "
             f"{format_duration(diff.after.wall_s)}"
         )
+        measures = (diff.before.measure_s, diff.after.measure_s)
+        if measures != (None, None):
+            summary += ", measure: " + " -> ".join(
+                format_duration(m) if m is not None else "-" for m in measures
+            )
+        print(summary)
         if timing:
             print("\ntiming regressions "
                   f"(> {1.0 + args.threshold:.2f}x and > {args.min_seconds:g}s):")

@@ -21,17 +21,23 @@ instead of half-loading, with the single exception of a torn final
 line left by a killed writer, which is skipped like the checkpoint
 journal's.
 
+The benchmark file ``BENCH_runall.json`` is one of these records: every
+``run-all --output-dir D`` writes its record's canonical line to
+``D/BENCH_runall.json`` (the same bytes ``--runlog`` appends), and the
+copy committed at the repo root is the CI speed baseline.
+
 Cross-run analysis lives here too: :func:`diff_runs` computes per-cell
 timing deltas and amplification-factor drift between two ledger
-entries, and :meth:`RunDiff.gate_failures` turns them into the CI
-gate behind ``repro obs diff --gate`` — per-cell slowdowns that the
-coarse wall-clock benchmark gate averages away fail loudly instead.
+entries, and :meth:`RunDiff.gate_failures` turns them, together with
+the whole-run wall, ``measure`` and fast-path hit-rate checks, into the
+one CI gate behind ``repro obs diff --gate``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -66,6 +72,24 @@ RUNLOG_SCHEMA_VERSION = 1
 
 #: Default ledger file name (CLI ``--runlog`` with no argument).
 RUNLOG_FILENAME = "runlog.jsonl"
+
+#: The run-all record's file name in ``--output-dir`` and at the repo root
+#: (the committed CI speed baseline).
+BENCH_FILENAME = "BENCH_runall.json"
+
+#: Experiment kinds whose cell seconds count toward the derived
+#: ``measure`` phase (the cells the fast path may answer).
+MEASURE_EXPERIMENTS = ("sbr", "obr", "ccfc", "sbr-faults")
+
+#: Fast-path counter -> type, as ``record_from_dict`` validates them.
+FASTPATH_FIELDS: Tuple[Tuple[str, type], ...] = (
+    ("answered", int),
+    ("refused", int),
+    ("ineligible", int),
+    ("validated", int),
+    ("calibration_runs", int),
+    ("hit_rate", float),
+)
 
 #: A timestamp source: ``() -> float`` epoch seconds.  Injected so
 #: tests (and resumed runs) can pin records byte-for-byte.
@@ -127,7 +151,12 @@ class RunRecord:
     #: The knobs that shaped the run (quick/exact/faults/seed/sizes...).
     config: Dict[str, Any] = field(default_factory=dict)
     config_digest: str = ""
-    #: Phase name -> wall seconds (``fastpath``/``grid``/``validate``/...).
+    #: Phase name -> wall seconds.  run-all records ``fastpath``, ``grid``,
+    #: ``validate``, ``static`` and the derived ``measure``: everything
+    #: spent answering SBR/OBR/CCFC measurement cells, i.e. ``fastpath +
+    #: validate`` plus the seconds of simulated measurement cells.  The
+    #: Fig 7 flood cells are bandwidth simulations outside the fast path's
+    #: scope, so ``measure`` compares like with like across modes.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Per-cell timings, grid order.
     cells: Tuple[CellRecord, ...] = ()
@@ -171,6 +200,16 @@ class RunRecord:
     def cell_seconds(self) -> float:
         return sum(cell.seconds for cell in self.cells)
 
+    @property
+    def measure_s(self) -> Optional[float]:
+        """The derived ``measure`` phase, ``None`` when not recorded."""
+        return self.phase_seconds.get("measure")
+
+    @property
+    def hit_rate(self) -> Optional[float]:
+        """Fast-path hit rate, ``None`` for runs without the fast path."""
+        return self.fastpath["hit_rate"] if self.fastpath is not None else None
+
 
 def _require(payload: Mapping[str, Any], key: str, kind: type) -> Any:
     if key not in payload:
@@ -189,6 +228,10 @@ def _require(payload: Mapping[str, Any], key: str, kind: type) -> Any:
             f"run record field {key!r} must be {kind.__name__}, "
             f"got {type(value).__name__}"
         )
+    # json.loads admits NaN and Infinity, which no comparison in the
+    # gate would ever trip on.
+    if kind is float and not math.isfinite(value):
+        raise RunLogError(f"run record field {key!r} must be finite, got {value}")
     return value
 
 
@@ -200,6 +243,8 @@ def _float_map(payload: Mapping[str, Any], key: str) -> Dict[str, float]:
     for name, value in raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RunLogError(f"run record {key}[{name!r}] must be a number")
+        if not math.isfinite(value):
+            raise RunLogError(f"run record {key}[{name!r}] must be finite")
         out[str(name)] = float(value)
     return out
 
@@ -261,8 +306,16 @@ def record_from_dict(payload: Mapping[str, Any]) -> RunRecord:
     if not isinstance(raw_config, Mapping):
         raise RunLogError("run record field 'config' must be an object")
     raw_fastpath = payload.get("fastpath")
-    if raw_fastpath is not None and not isinstance(raw_fastpath, Mapping):
-        raise RunLogError("run record field 'fastpath' must be an object or null")
+    fastpath: Optional[Dict[str, Any]] = None
+    if raw_fastpath is not None:
+        if not isinstance(raw_fastpath, Mapping):
+            raise RunLogError(
+                "run record field 'fastpath' must be an object or null"
+            )
+        fastpath = {
+            name: _require(raw_fastpath, name, kind)
+            for name, kind in FASTPATH_FIELDS
+        }
     raw_metrics = payload.get("metrics", {})
     if not isinstance(raw_metrics, Mapping):
         raise RunLogError("run record field 'metrics' must be an object")
@@ -288,7 +341,7 @@ def record_from_dict(payload: Mapping[str, Any]) -> RunRecord:
         phase_seconds=_float_map(payload, "phase_seconds"),
         cells=tuple(cells),
         factors=_float_map(payload, "factors"),
-        fastpath=dict(raw_fastpath) if raw_fastpath is not None else None,
+        fastpath=fastpath,
         metrics=dict(raw_metrics),
         artifacts=artifacts,
     )
@@ -349,7 +402,9 @@ def record_from_runall(
     per Table IV cell, ``obr:<fcdn>:<bcdn>`` per Table V cascade,
     ``ccfc:<vendor>:<size>`` per compression-conversion cell, and
     ``faulted:<vendor>:<size>`` per Table VI row, so two ledger entries
-    diff cell-by-cell without re-reading the rendered tables.
+    diff cell-by-cell without re-reading the rendered tables.  The
+    derived ``measure`` phase is added to the report's phases (see
+    :attr:`RunRecord.phase_seconds`).
     """
     factors: Dict[str, float] = {}
     for row in report.table4:
@@ -362,17 +417,20 @@ def record_from_runall(
             factors[f"ccfc:{row.vendor}:{size}"] = factor
     for row in report.table_faults:
         factors[f"faulted:{row.vendor}:{row.resource_size}"] = row.faulted_factor
+    phases = dict(report.phase_seconds)
+    phases["measure"] = (
+        phases.get("fastpath", 0.0)
+        + phases.get("validate", 0.0)
+        + sum(
+            report.timing_by_experiment[name].total_s
+            for name in MEASURE_EXPERIMENTS
+            if name in report.timing_by_experiment
+        )
+    )
     stats = report.fastpath
     fastpath: Optional[Dict[str, Any]] = None
     if stats is not None:
-        fastpath = {
-            "answered": stats.answered,
-            "refused": stats.refused,
-            "ineligible": stats.ineligible,
-            "validated": stats.validated,
-            "calibration_runs": stats.calibration_runs,
-            "hit_rate": stats.hit_rate,
-        }
+        fastpath = {name: getattr(stats, name) for name, _ in FASTPATH_FIELDS}
     return _new_record(
         "run-all",
         label,
@@ -381,7 +439,7 @@ def record_from_runall(
         clock,
         workers=report.workers,
         cell_count=report.cell_count,
-        phase_seconds=dict(report.phase_seconds),
+        phase_seconds=phases,
         cells=tuple(
             CellRecord(
                 label=cell.label,
@@ -590,7 +648,10 @@ class RunDiff:
     exceeds ``min_seconds`` — sub-threshold cells are too noisy to gate
     on and too cheap to matter.  Factors are deterministic simulation
     outputs, so *any* drift beyond ``factor_tolerance`` (relative) is a
-    correctness regression, in either direction.
+    correctness regression, in either direction.  Whole-run checks
+    (:meth:`run_regressions`) gate wall clock and the ``measure`` phase
+    on the same ``1 + threshold`` ratio, and the fast path on its
+    counters and hit rate.
     """
 
     before: RunRecord
@@ -624,9 +685,44 @@ class RunDiff:
         ]
         return tuple(sorted(flagged, key=lambda d: -abs(d.relative)))
 
+    def run_regressions(self) -> List[str]:
+        """Whole-run violations: fast path lost or less effective, wall
+        clock or ``measure`` phase slower than ``1 + threshold`` times."""
+        before, after = self.before, self.after
+        limit = 1.0 + self.threshold
+        failures: List[str] = []
+        if before.hit_rate is not None:
+            if after.hit_rate is None:
+                failures.append(
+                    "after run has no fast-path counters (was it --exact?)"
+                )
+            elif after.hit_rate < before.hit_rate:
+                failures.append(
+                    f"fast-path hit rate dropped {before.hit_rate:.3f} -> "
+                    f"{after.hit_rate:.3f}"
+                )
+        if before.wall_s > 0 and after.wall_s > limit * before.wall_s:
+            failures.append(
+                f"wall clock slowed {after.wall_s / before.wall_s:.2f}x "
+                f"({before.wall_s:.3f}s -> {after.wall_s:.3f}s)"
+            )
+        if before.measure_s is not None:
+            if after.measure_s is None:
+                failures.append(
+                    f"after run has no measure phase "
+                    f"(before {before.measure_s:.3f}s)"
+                )
+            elif before.measure_s > 0 and after.measure_s > limit * before.measure_s:
+                failures.append(
+                    f"measure phase slowed {after.measure_s / before.measure_s:.2f}x "
+                    f"({before.measure_s:.3f}s -> {after.measure_s:.3f}s)"
+                )
+        return failures
+
     def gate_failures(self) -> List[str]:
         """Human-readable gate violations (empty means the gate passes)."""
-        failures = [
+        failures = self.run_regressions()
+        failures += [
             f"cell {delta.label} slowed {delta.ratio:.2f}x "
             f"({delta.before_s:.3f}s -> {delta.after_s:.3f}s)"
             for delta in self.timing_regressions()
@@ -651,10 +747,13 @@ def diff_runs(
     factor_tolerance: float = 1e-6,
 ) -> RunDiff:
     """Compare two run records cell-by-cell and factor-by-factor."""
-    if threshold < 0:
-        raise RunLogError(f"threshold must be >= 0, got {threshold}")
-    if min_seconds < 0:
-        raise RunLogError(f"min-seconds must be >= 0, got {min_seconds}")
+    for name, value in (
+        ("threshold", threshold),
+        ("min-seconds", min_seconds),
+        ("factor-tolerance", factor_tolerance),
+    ):
+        if not (math.isfinite(value) and value >= 0):
+            raise RunLogError(f"{name} must be a finite number >= 0, got {value}")
     before_cells = {cell.label: cell for cell in before.cells}
     after_cells = {cell.label: cell for cell in after.cells}
     shared = sorted(set(before_cells) & set(after_cells))

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import (
@@ -459,8 +460,9 @@ class AnalysisService:
         threshold = raw.get("threshold", DEFAULT_THRESHOLD)
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
             return "threshold must be a number"
-        if threshold <= 0:
-            return "threshold must be > 0"
+        # json.loads admits NaN, Infinity and integers past float range.
+        if not 0 < threshold <= sys.float_info.max:
+            return "threshold must be a finite number > 0"
         return _Item(family, subject, size, exact, float(threshold))
 
     def _run_item(self, endpoint: str, raw: Any) -> Dict[str, Any]:

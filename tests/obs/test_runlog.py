@@ -20,12 +20,26 @@ from repro.obs.runlog import (
 )
 
 
+#: A full set of fast-path counters, as the strict loader requires.
+FASTPATH = {
+    "answered": 3,
+    "refused": 0,
+    "ineligible": 1,
+    "validated": 1,
+    "calibration_runs": 2,
+    "hit_rate": 0.75,
+}
+
+
 def _record(
     run_id="a" * 16,
     label="run-all-quick",
     cells=(),
     factors=None,
     started_at=1000.0,
+    wall_s=2.5,
+    phase_seconds=None,
+    fastpath=FASTPATH,
 ):
     config = {"quick": True}
     return RunRecord(
@@ -34,15 +48,15 @@ def _record(
         command="run-all",
         label=label,
         started_at=started_at,
-        wall_s=2.5,
+        wall_s=wall_s,
         workers=2,
         cell_count=len(cells),
         config=config,
         config_digest=config_digest(config),
-        phase_seconds={"grid": 2.0},
+        phase_seconds=dict(phase_seconds or {"grid": 2.0}),
         cells=tuple(cells),
         factors=dict(factors or {}),
-        fastpath={"answered": 3, "hit_rate": 0.75},
+        fastpath=dict(fastpath) if fastpath is not None else None,
         metrics={},
         artifacts={"table4.txt": "0" * 64},
     )
@@ -116,6 +130,37 @@ class TestStrictLoader:
     def test_non_json_line_raises(self):
         with pytest.raises(RunLogError):
             record_from_json("{truncated")
+
+    def test_malformed_fastpath_raises(self):
+        payload = _record().to_dict()
+        del payload["fastpath"]["hit_rate"]
+        with pytest.raises(RunLogError, match="missing 'hit_rate'"):
+            record_from_dict(payload)
+        payload["fastpath"] = [3, 0.75]
+        with pytest.raises(RunLogError, match="'fastpath' must be an object"):
+            record_from_dict(payload)
+
+    def test_bool_fastpath_count_raises(self):
+        # bool subclasses int; a stray true in a counter must fail.
+        payload = _record().to_dict()
+        payload["fastpath"]["answered"] = True
+        with pytest.raises(RunLogError, match="'answered' must be int"):
+            record_from_dict(payload)
+
+    def test_int_accepted_where_float_expected(self):
+        payload = _record().to_dict()
+        payload["fastpath"]["hit_rate"] = 1
+        record = record_from_dict(payload)
+        assert record.hit_rate == 1.0 and isinstance(record.hit_rate, float)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_numbers_raise(self, value):
+        # A NaN wall, phase or hit rate would pass every gate comparison.
+        line = _record().to_json()
+        for field in ('"wall_s":2.5', '"grid":2.0', '"hit_rate":0.75'):
+            key = field.split(":")[0]
+            with pytest.raises(RunLogError, match="must be finite"):
+                record_from_json(line.replace(field, f"{key}:{value}"))
 
 
 class TestRunLedger:
@@ -225,6 +270,58 @@ class TestDiffRuns:
         with pytest.raises(RunLogError):
             diff_runs(record, record, min_seconds=-1.0)
 
+    @pytest.mark.parametrize(
+        "keyword", ["threshold", "min_seconds", "factor_tolerance"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_thresholds_rejected(self, keyword, value):
+        # A NaN threshold makes every comparison false, so it would pass
+        # any slowdown.
+        record = _record()
+        with pytest.raises(RunLogError, match="finite"):
+            diff_runs(record, record, **{keyword: value})
+
+    def test_lost_fastpath_fails_the_gate(self):
+        diff = diff_runs(_record(), _record(fastpath=None), threshold=1.0)
+        assert diff.gate_failures() == [
+            "after run has no fast-path counters (was it --exact?)"
+        ]
+        # Going the other way (exact before, fast after) is no regression.
+        assert diff_runs(_record(fastpath=None), _record()).ok
+
+    def test_hit_rate_drop_fails_the_gate(self):
+        lower = dict(FASTPATH, answered=2, hit_rate=0.5)
+        diff = diff_runs(_record(), _record(fastpath=lower), threshold=1.0)
+        assert diff.gate_failures() == [
+            "fast-path hit rate dropped 0.750 -> 0.500"
+        ]
+
+    def test_wall_clock_regression_fails_the_gate(self):
+        before = _record(wall_s=1.0)
+        assert diff_runs(before, _record(wall_s=2.0), threshold=1.0).ok
+        diff = diff_runs(before, _record(wall_s=2.5), threshold=1.0)
+        assert diff.gate_failures() == [
+            "wall clock slowed 2.50x (1.000s -> 2.500s)"
+        ]
+
+    def test_measure_regression_fails_the_gate(self):
+        before = _record(phase_seconds={"measure": 0.1})
+        same = _record(phase_seconds={"measure": 0.2})
+        assert diff_runs(before, same, threshold=1.0).ok
+        slower = _record(phase_seconds={"measure": 0.25})
+        diff = diff_runs(before, slower, threshold=1.0)
+        assert diff.gate_failures() == [
+            "measure phase slowed 2.50x (0.100s -> 0.250s)"
+        ]
+
+    def test_missing_measure_fails_the_gate(self):
+        before = _record(phase_seconds={"measure": 0.1})
+        diff = diff_runs(before, _record(), threshold=1.0)
+        assert diff.gate_failures() == [
+            "after run has no measure phase (before 0.100s)"
+        ]
+        assert diff_runs(_record(), before).ok
+
 
 class TestRunallRecord:
     def test_quick_runall_record_round_trips(self):
@@ -241,6 +338,19 @@ class TestRunallRecord:
         assert record.fastpath["answered"] == report.fastpath.answered
         assert any(key.startswith("sbr:") for key in record.factors)
         assert any(key.startswith("obr:") for key in record.factors)
-        assert record.phase_seconds.keys() == report.phase_seconds.keys()
+        assert record.phase_seconds.keys() == report.phase_seconds.keys() | {
+            "measure"
+        }
+        # measure = fastpath + validate + the measurement cells' seconds.
+        cell_seconds = sum(
+            cell.duration_s
+            for cell in report.cells
+            if cell.experiment in ("sbr", "obr", "ccfc", "sbr-faults")
+        )
+        assert record.measure_s == pytest.approx(
+            report.phase_seconds["fastpath"]
+            + report.phase_seconds["validate"]
+            + cell_seconds
+        )
         loaded = record_from_json(record.to_json())
         assert loaded == record

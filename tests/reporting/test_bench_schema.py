@@ -1,150 +1,179 @@
-"""The BENCH_runall.json schema: typed round-trip, strict rejection.
+"""BENCH_runall.json is a run record: strict loading, run-all's copy, the gate.
 
-The CI speed gate (``scripts/check_bench.py``) compares three of these
-files; every comparison it makes goes through :func:`load_bench`, so the
-loader must reject anything it does not fully understand — an unknown
-schema version, a missing field, a mistyped count — rather than let the
-gate silently compare garbage.
+``run-all --output-dir D`` writes its :class:`~repro.obs.runlog.RunRecord`
+line to ``D/BENCH_runall.json``, and the copy committed at the repo root
+is the CI speed baseline that ``repro obs diff --gate`` compares fresh
+runs against.  Every comparison goes through the ledger's strict
+loader, so it must reject anything it does not fully understand — an
+unknown schema version, a missing field, a mistyped count — rather than
+let the gate silently compare garbage.
 """
 
-import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ReproError
-from repro.reporting.bench import (
+from repro.obs.runlog import (
     BENCH_FILENAME,
-    BENCH_SCHEMA_VERSION,
-    BenchFastPath,
-    BenchReport,
-    BenchSchemaError,
-    bench_from_dict,
-    bench_from_runall,
-    load_bench,
+    RUNLOG_SCHEMA_VERSION,
+    RunLedger,
+    RunLogError,
+    artifact_digest,
+    record_from_dict,
+    record_from_json,
+    record_from_runall,
 )
 
+BASELINE = Path(__file__).resolve().parents[2] / BENCH_FILENAME
 
-def _sample_report(mode="fast"):
-    fastpath = None
-    if mode == "fast":
-        fastpath = BenchFastPath(
-            answered=41,
-            refused=0,
-            ineligible=3,
-            validated=3,
-            calibration_runs=62,
-            hit_rate=41 / 44,
-        )
-    return BenchReport(
-        schema_version=BENCH_SCHEMA_VERSION,
-        label="run-all-quick",
-        mode=mode,
-        wall_s=0.55,
-        cell_count=44,
-        cells_per_s=44 / 0.55,
-        workers=1,
-        phases={"fastpath": 0.03, "grid": 0.17, "validate": 0.001,
-                "static": 0.35, "measure": 0.08},
-        fastpath=fastpath,
+
+def _baseline_payload(**overrides):
+    payload = json.loads(BASELINE.read_text(encoding="utf-8"))
+    payload.update(overrides)
+    return payload
+
+
+def _quick_run_all(directory, *extra):
+    from repro.runner.memo import clear_all_memos
+
+    clear_all_memos()
+    argv = ["run-all", "--quick", "--workers", "1", "--no-progress"]
+    assert main(argv + ["--output-dir", str(directory), *extra]) == 0
+    return directory / BENCH_FILENAME
+
+
+@pytest.fixture(scope="module")
+def fast_run(tmp_path_factory):
+    """One quick fast-path run-all with both an output dir and a ledger."""
+    root = tmp_path_factory.mktemp("fast")
+    ledger = root / "runlog.jsonl"
+    bench = _quick_run_all(root / "artifacts", "--runlog", str(ledger))
+    return bench, ledger
+
+
+def _ledger(tmp_path, payloads):
+    path = tmp_path / "bench.jsonl"
+    path.write_text(
+        "".join(record_from_dict(p).to_json() + "\n" for p in payloads),
+        encoding="utf-8",
     )
+    return str(path)
 
 
 class TestRoundTrip:
-    def test_json_round_trip_is_lossless(self, tmp_path):
-        report = _sample_report()
-        path = report.write(tmp_path / "bench.json")
-        assert load_bench(path) == report
+    def test_json_round_trip_is_lossless(self):
+        """The committed baseline is one canonical ledger line carrying
+        the numbers it was measured with."""
+        (record,) = RunLedger(BASELINE).load()
+        assert record.to_json() + "\n" == BASELINE.read_text(encoding="utf-8")
+        assert record.command == "run-all"
+        assert record.label == "run-all-quick"
+        assert record.wall_s == 0.5156176450000203
+        assert record.measure_s == 0.09001890500439913
+        assert record.cell_count == 57
+        assert record.fastpath is not None
+        assert record.fastpath["answered"] == 54
+        assert record.hit_rate == 0.9473684210526315
 
-    def test_write_into_directory_uses_canonical_name(self, tmp_path):
-        path = _sample_report().write(tmp_path)
-        assert path == tmp_path / BENCH_FILENAME
-        assert load_bench(tmp_path) == _sample_report()
+    def test_write_into_directory_uses_canonical_name(self, fast_run):
+        """The record is built after the paper artifacts, so it digests
+        every other file of the output directory."""
+        bench, _ = fast_run
+        assert bench.name == "BENCH_runall.json"
+        (record,) = RunLedger(bench).load()
+        others = sorted(p for p in bench.parent.iterdir() if p != bench)
+        assert record.artifacts == {p.name: artifact_digest(p) for p in others}
 
-    def test_exact_mode_round_trips_without_fastpath(self, tmp_path):
-        report = _sample_report(mode="exact")
-        path = report.write(tmp_path / "bench.json")
-        loaded = load_bench(path)
-        assert loaded == report
-        assert loaded.fastpath is None
-        assert loaded.hit_rate == 0.0
+    def test_exact_mode_round_trips_without_fastpath(self):
+        record = record_from_dict(_baseline_payload(fastpath=None))
+        assert record.fastpath is None
+        assert record.hit_rate is None
+        assert record_from_json(record.to_json()) == record
 
     def test_measure_phase_property(self):
-        assert _sample_report().measure_s == pytest.approx(0.08)
-        empty = _sample_report(mode="exact")
-        assert BenchReport(
-            schema_version=BENCH_SCHEMA_VERSION,
-            label=empty.label,
-            mode=empty.mode,
-            wall_s=1.0,
-            cell_count=1,
-            cells_per_s=1.0,
-            workers=1,
-        ).measure_s == 0.0
+        assert record_from_dict(_baseline_payload()).measure_s == pytest.approx(
+            0.09001890500439913
+        )
+        assert record_from_dict(_baseline_payload(phase_seconds={})).measure_s is None
 
 
 class TestRejection:
-    def _payload(self, **overrides):
-        payload = json.loads(_sample_report().to_json())
-        payload.update(overrides)
-        return payload
-
     def test_schema_error_is_a_repro_error(self):
-        assert issubclass(BenchSchemaError, ReproError)
+        assert issubclass(RunLogError, ReproError)
 
     def test_unknown_version_rejected(self):
-        with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
-            bench_from_dict(self._payload(schema_version=BENCH_SCHEMA_VERSION + 1))
+        with pytest.raises(RunLogError, match="unknown run-record schema"):
+            record_from_dict(
+                _baseline_payload(schema_version=RUNLOG_SCHEMA_VERSION + 1)
+            )
 
     def test_version_one_files_rejected_after_ccfc_bump(self):
-        # The grid gained CCFC cells in schema version 2: cell counts
-        # and phase totals from version-1 builds are not comparable, so
-        # the strict loader refuses them outright.
-        assert BENCH_SCHEMA_VERSION == 2
-        with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
-            bench_from_dict(self._payload(schema_version=1))
+        # Bench files from before the run-record format (schema versions
+        # 1 and 2: no run id, "phases" instead of "phase_seconds") are
+        # refused, even where the version number collides.
+        legacy = {
+            "cell_count": 57,
+            "cells_per_s": 110.5,
+            "label": "run-all-quick",
+            "mode": "fast",
+            "phases": {"measure": 0.09},
+            "wall_s": 0.52,
+            "workers": 1,
+        }
+        with pytest.raises(RunLogError, match="missing 'run_id'"):
+            record_from_dict({**legacy, "schema_version": 1})
+        with pytest.raises(RunLogError, match="unknown run-record schema"):
+            record_from_dict({**legacy, "schema_version": 2})
 
     def test_missing_field_rejected(self):
-        payload = self._payload()
+        payload = _baseline_payload()
         del payload["wall_s"]
-        with pytest.raises(BenchSchemaError, match="missing 'wall_s'"):
-            bench_from_dict(payload)
+        with pytest.raises(RunLogError, match="missing 'wall_s'"):
+            record_from_dict(payload)
 
     def test_wrong_type_rejected(self):
-        with pytest.raises(BenchSchemaError, match="'cell_count' must be int"):
-            bench_from_dict(self._payload(cell_count="44"))
+        with pytest.raises(RunLogError, match="'cell_count' must be int"):
+            record_from_dict(_baseline_payload(cell_count="57"))
 
     def test_bool_is_not_an_int(self):
         # bool subclasses int; a stray true in a count field must fail.
-        with pytest.raises(BenchSchemaError, match="'workers' must be int"):
-            bench_from_dict(self._payload(workers=True))
+        with pytest.raises(RunLogError, match="'workers' must be int"):
+            record_from_dict(_baseline_payload(workers=True))
 
     def test_int_accepted_where_float_expected(self):
-        report = bench_from_dict(self._payload(wall_s=2))
-        assert report.wall_s == 2.0
-        assert isinstance(report.wall_s, float)
+        record = record_from_dict(_baseline_payload(wall_s=2))
+        assert record.wall_s == 2.0
+        assert isinstance(record.wall_s, float)
 
     def test_non_numeric_phase_rejected(self):
-        payload = self._payload()
-        payload["phases"]["grid"] = "fast"
-        with pytest.raises(BenchSchemaError, match="'grid' must be a number"):
-            bench_from_dict(payload)
+        payload = _baseline_payload()
+        payload["phase_seconds"]["grid"] = "fast"
+        with pytest.raises(RunLogError, match=r"\['grid'\] must be a number"):
+            record_from_dict(payload)
 
     def test_malformed_fastpath_rejected(self):
-        payload = self._payload()
+        payload = _baseline_payload()
         del payload["fastpath"]["hit_rate"]
-        with pytest.raises(BenchSchemaError, match="missing 'hit_rate'"):
-            bench_from_dict(payload)
+        with pytest.raises(RunLogError, match="missing 'hit_rate'"):
+            record_from_dict(payload)
 
     def test_non_object_payload_rejected(self):
-        with pytest.raises(BenchSchemaError, match="must be an object"):
-            bench_from_dict(["not", "an", "object"])
+        with pytest.raises(RunLogError, match="must be an object"):
+            record_from_dict(["not", "an", "object"])
 
     def test_non_json_file_rejected(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text("not json at all", encoding="utf-8")
-        with pytest.raises(BenchSchemaError, match="is not JSON"):
-            load_bench(path)
+        # CI appends fresh runs to a copy of the baseline, so a corrupt
+        # baseline becomes a corrupt middle line, which the ledger refuses.
+        path = tmp_path / "bench.jsonl"
+        path.write_text(
+            "not json at all\n" + BASELINE.read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        with pytest.raises(RunLogError, match="is not JSON"):
+            RunLedger(path).load()
 
 
 class TestFromRunAll:
@@ -156,114 +185,65 @@ class TestFromRunAll:
         clear_all_memos()
         return run_all(workers=1, quick=True, vendors=["gcore"])
 
-    def test_observation_from_live_run(self, quick_report, tmp_path):
-        bench = bench_from_runall(quick_report, "run-all-quick", wall_s=1.25)
-        assert bench.mode == "fast"
-        assert bench.wall_s == 1.25
-        assert bench.cell_count == quick_report.cell_count
-        assert bench.fastpath is not None
-        assert bench.fastpath.answered == quick_report.fastpath.answered
+    def test_observation_from_live_run(self, quick_report):
+        record = record_from_runall(
+            quick_report, "run-all-quick", {"quick": True}, wall_s=1.25
+        )
+        assert record.wall_s == 1.25
+        assert record.cell_count == quick_report.cell_count
+        assert record.fastpath is not None
+        assert record.fastpath["answered"] == quick_report.fastpath.answered
         # The derived measure phase includes planning and validation.
-        assert bench.measure_s >= (
+        assert record.measure_s >= (
             quick_report.phase_seconds["fastpath"]
             + quick_report.phase_seconds["validate"]
         )
-        assert load_bench(bench.write(tmp_path)) == bench
-
-    def test_wall_defaults_to_phase_sum(self, quick_report):
-        bench = bench_from_runall(quick_report, "run-all-quick")
-        assert bench.wall_s == pytest.approx(
-            sum(quick_report.phase_seconds.values())
-        )
+        assert record_from_json(record.to_json()) == record
 
 
 class TestCliWritesBench:
-    def test_run_all_quick_produces_valid_file(self, tmp_path, monkeypatch):
-        from repro.cli import main
-        from repro.runner.memo import clear_all_memos
-
-        clear_all_memos()
-        monkeypatch.chdir(tmp_path)
-        bench_path = tmp_path / "bench.json"
-        out_dir = tmp_path / "artifacts"
-        assert (
-            main(
-                [
-                    "run-all",
-                    "--quick",
-                    "--workers",
-                    "1",
-                    "--no-progress",
-                    "--bench",
-                    str(bench_path),
-                    "--output-dir",
-                    str(out_dir),
-                ]
-            )
-            == 0
-        )
-        bench = load_bench(bench_path)
-        assert bench.label == "run-all-quick"
-        assert bench.mode == "fast"
-        assert bench.schema_version == BENCH_SCHEMA_VERSION
-        assert bench.fastpath is not None and bench.fastpath.answered > 0
-        assert bench.wall_s > 0
-        # --output-dir always receives the canonical observation too.
-        assert load_bench(out_dir).label == bench.label
+    def test_run_all_quick_produces_valid_file(self, fast_run):
+        """``D/BENCH_runall.json`` is the same line ``--runlog`` appended."""
+        bench, ledger = fast_run
+        (record,) = RunLedger(bench).load()
+        last_line = ledger.read_text(encoding="utf-8").splitlines()[-1]
+        assert bench.read_text(encoding="utf-8") == last_line + "\n"
+        assert record.label == "run-all-quick"
+        assert record.config["exact"] is False
+        assert record.fastpath is not None and record.fastpath["answered"] > 0
+        assert record.wall_s > 0
+        assert record.measure_s is not None and record.measure_s > 0
 
     def test_exact_flag_produces_exact_observation(self, tmp_path):
-        from repro.cli import main
-        from repro.runner.memo import clear_all_memos
-
-        clear_all_memos()
-        bench_path = tmp_path / "bench_exact.json"
-        assert (
-            main(
-                [
-                    "run-all",
-                    "--quick",
-                    "--workers",
-                    "1",
-                    "--no-progress",
-                    "--exact",
-                    "--bench",
-                    str(bench_path),
-                ]
-            )
-            == 0
-        )
-        bench = load_bench(bench_path)
-        assert bench.label == "run-all-quick-exact"
-        assert bench.mode == "exact"
-        assert bench.fastpath is None
-
-
-def _load_gate():
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[2] / "scripts" / "check_bench.py"
-    spec = importlib.util.spec_from_file_location("check_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _with_measure(report, measure_s):
-    return dataclasses.replace(report, phases={**report.phases, "measure": measure_s})
+        (record,) = RunLedger(_quick_run_all(tmp_path, "--exact")).load()
+        assert record.label == "run-all-quick-exact"
+        assert record.config["exact"] is True
+        assert record.fastpath is None
+        assert record.measure_s is not None and record.measure_s > 0
 
 
 class TestCheckBenchGate:
-    def test_exact_about_as_fast_as_fast_passes(self):
-        gate = _load_gate()
-        baseline = _sample_report()
-        exact = _with_measure(_sample_report(mode="exact"), 0.09)
-        assert gate.check(_sample_report(), exact, baseline) == 0
+    """``repro obs diff --gate`` over a ledger seeded with the baseline,
+    as CI's bench-smoke job runs it."""
 
-    def test_measure_phase_regression_fails(self, capsys):
-        gate = _load_gate()
-        baseline = _sample_report()
-        slow = _with_measure(baseline, 0.08 * gate.MAX_WALL_REGRESSION * 1.1)
-        exact = _sample_report(mode="exact")
-        assert gate.check(slow, exact, baseline) == 1
-        assert "measurement phase regressed" in capsys.readouterr().err
+    def test_exact_about_as_fast_as_fast_passes(self, tmp_path, capsys):
+        fast = _baseline_payload()
+        exact = _baseline_payload(fastpath=None, label="run-all-quick-exact")
+        path = _ledger(tmp_path, [_baseline_payload(), fast, exact])
+        assert main(
+            ["obs", "diff", "0", "1", "--ledger", path, "--gate",
+             "--threshold", "1"]
+        ) == 0
+        # Fast vs exact is informational: reported, never gated.
+        assert main(["obs", "diff", "1", "2", "--ledger", path]) == 0
+        assert "measure: 90ms -> 90ms" in capsys.readouterr().out
+
+    def test_measure_phase_regression_fails(self, tmp_path, capsys):
+        slow = _baseline_payload()
+        slow["phase_seconds"]["measure"] *= 2.2
+        path = _ledger(tmp_path, [_baseline_payload(), slow])
+        assert main(
+            ["obs", "diff", "0", "1", "--ledger", path, "--gate",
+             "--threshold", "1"]
+        ) == 1
+        assert "measure phase slowed 2.20x" in capsys.readouterr().err

@@ -265,6 +265,24 @@ class TestAnalyzeBatch:
 
 
 class TestRecommendBatch:
+    @pytest.mark.parametrize(
+        "threshold", [float("nan"), float("inf"), 10**400, 0, -1]
+    )
+    def test_non_finite_or_non_positive_threshold_is_an_item_error(
+        self, threshold
+    ):
+        # json.loads admits NaN, Infinity and integers past float range;
+        # a NaN threshold used to reject every mitigation and answer
+        # chosen: null, and 10**400 crashed the float conversion.
+        response = AnalysisService().handle(
+            batch_request(
+                "/v1/recommend", [{"vendor": "cloudflare", "threshold": threshold}]
+            )
+        )
+        assert response.status == 200
+        (item,) = body_json(response)["results"]
+        assert item == {"error": "invalid item: threshold must be a finite number > 0"}
+
     def test_vulnerable_item_gets_a_recommendation(self):
         service = AnalysisService()
         response = service.handle(

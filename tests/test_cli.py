@@ -136,6 +136,16 @@ class TestReport:
         ["run-all", "--workers", "-2"],
         ["run-all", "--workers", "0"],
         ["analyze", "--size-mb", "ten"],
+        ["economics", "sbr", "akamai", "--rps", "nan"],
+        ["economics", "sbr", "akamai", "--hours", "inf"],
+        ["recommend", "--threshold", "nan"],
+        ["flood", "--uplink-mbps", "nan"],
+        ["obs", "diff", "0", "1", "--threshold", "nan"],
+        ["obs", "diff", "0", "1", "--threshold", "-1"],
+        ["obs", "diff", "0", "1", "--min-seconds", "nan"],
+        ["obs", "diff", "0", "1", "--factor-tolerance", "inf"],
+        ["obs", "top", "-n", "-3"],
+        ["obs", "runs", "--limit", "0"],
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
