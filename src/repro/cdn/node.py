@@ -161,7 +161,7 @@ class CdnNode(HttpHandler):
             )
             if hop.recording:
                 hop.set(outcome="rejected", reason=str(rejected))
-            return self._rejection(rejected)
+            return self._text_error(rejected.status_code, str(rejected))
 
         spec = try_parse_range_header(request.headers.get("Range"))
 
@@ -365,7 +365,9 @@ class CdnNode(HttpHandler):
 
         if spec is None:
             if not window.is_full:
-                return self._gateway_error("partial window but no Range request")
+                return self._text_error(
+                    StatusCode.BAD_GATEWAY, "partial window but no Range request"
+                )
             return self._finalize(
                 self._base_response(
                     StatusCode.OK,
@@ -388,7 +390,10 @@ class CdnNode(HttpHandler):
 
         runs = group_ranges(parts)
         if any(not window.covers(part) for part, _ in runs):
-            return self._gateway_error("fetched window does not cover the requested range")
+            return self._text_error(
+                StatusCode.BAD_GATEWAY,
+                "fetched window does not cover the requested range",
+            )
 
         if len(parts) == 1:
             part = parts[0]
@@ -490,19 +495,7 @@ class CdnNode(HttpHandler):
         )
         return HttpResponse(StatusCode.RANGE_NOT_SATISFIABLE, headers=headers)
 
-    def _rejection(self, rejected: RequestRejectedError) -> HttpResponse:
-        body = f"{rejected}\n"
-        headers = Headers(
-            [
-                ("Date", _FIXED_DATE),
-                ("Server", self.profile.server_header),
-                ("Content-Type", "text/plain"),
-                ("Content-Length", str(len(body))),
-            ]
-        )
-        return HttpResponse(rejected.status_code, headers=headers, body=body)
-
-    def _gateway_error(self, message: str) -> HttpResponse:
+    def _text_error(self, status: int, message: str) -> HttpResponse:
         body = f"{message}\n"
         headers = Headers(
             [
@@ -512,7 +505,7 @@ class CdnNode(HttpHandler):
                 ("Content-Length", str(len(body))),
             ]
         )
-        return HttpResponse(StatusCode.BAD_GATEWAY, headers=headers, body=body)
+        return HttpResponse(status, headers=headers, body=body)
 
     def __repr__(self) -> str:
         return f"CdnNode({self.profile.name}, upstream_segment={self.upstream_segment!r})"

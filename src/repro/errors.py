@@ -71,14 +71,6 @@ class NetworkError(ReproError):
     """Base class for simulated-network errors."""
 
 
-class ConnectionAbortedError_(NetworkError):
-    """The simulated peer aborted the connection mid-transfer.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    :class:`ConnectionAbortedError`.
-    """
-
-
 class SimulationError(NetworkError):
     """Invalid use of the bandwidth/clock simulation (e.g. time going
     backwards, negative capacity)."""

@@ -118,16 +118,6 @@ class Headers:
         lowered = name.lower()
         return [v for n, v in self._items if n.lower() == lowered]
 
-    def get_int(self, name: str, default: Optional[int] = None) -> Optional[int]:
-        """Return the first value of ``name`` parsed as an integer."""
-        raw = self.get(name)
-        if raw is None:
-            return default
-        try:
-            return int(raw.strip())
-        except ValueError as exc:
-            raise HeaderError(f"header {name} is not an integer: {raw!r}") from exc
-
     def __contains__(self, name: object) -> bool:
         if not isinstance(name, str):
             return False
@@ -196,15 +186,16 @@ class Headers:
 
     @classmethod
     def parse(cls, blob: bytes) -> "Headers":
-        """Parse a serialized header block (no terminating blank line)."""
+        """Parse a serialized header block (no terminating blank line),
+        strictly: no whitespace before a colon, no obs-fold (RFC 9112 §5)."""
         headers = cls()
-        if not blob:
-            return headers
         for line in blob.split(b"\r\n"):
             if not line:
                 continue
+            if line[:1] in (b" ", b"\t"):
+                raise HeaderError(f"obs-fold continuation line {line!r}")
             name, sep, value = line.partition(b":")
             if not sep:
                 raise HeaderError(f"malformed header line {line!r}")
-            headers.add(name.decode("latin-1").strip(), value.decode("latin-1").strip())
+            headers.add(name.decode("latin-1"), value.decode("latin-1").strip(" \t"))
         return headers

@@ -155,7 +155,9 @@ class HttpResponse:
         return self.headers.get("Content-Type")
 
     def declared_content_length(self) -> Optional[int]:
-        return self.headers.get_int("Content-Length")
+        from repro.http.wire import body_length
+
+        return body_length(self.headers, "response")
 
     # -- wire form --------------------------------------------------------------
 

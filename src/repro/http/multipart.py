@@ -194,7 +194,7 @@ class MultipartByteranges:
             if not payload.endswith(b"\r\n"):
                 raise MultipartError("part payload is missing its trailing CRLF")
             payload = payload[:-2]
-            headers = Headers.parse(head + b"\r\n" if head else b"")
+            headers = Headers.parse(head)
             content_range_raw = headers.get("Content-Range")
             if content_range_raw is None:
                 raise MultipartError("part is missing Content-Range")

@@ -201,10 +201,6 @@ class FluidSimulator:
     def samples_for(self, link: str) -> List[LinkSample]:
         return [s for s in self._samples if s.link == link]
 
-    def throughput_series(self, link: str) -> List[float]:
-        """Per-tick throughput (bps) for ``link``, in time order."""
-        return [s.throughput_bps for s in self.samples_for(link)]
-
     def mean_throughput_bps(self, link: str, start: float = 0.0, end: float = float("inf")) -> float:
         """Average throughput on ``link`` over the window ``[start, end)``."""
         window = [s for s in self.samples_for(link) if start <= s.time < end]

@@ -562,12 +562,12 @@ class RunLedger:
                 continue
             try:
                 records.append(record_from_json(line))
-            except RunLogError:
-                if index == len(lines) - 1:
+            except RunLogError as error:
+                if index == len(lines) - 1 and records:
                     # Torn tail from a killed writer; everything before
-                    # it is intact.
+                    # it is intact.  A sole line has no such witness.
                     continue
-                raise
+                raise RunLogError(f"{self.path}:{index + 1}: {error}") from error
         return records
 
     def resolve(self, ref: str) -> RunRecord:

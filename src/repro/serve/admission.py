@@ -145,10 +145,6 @@ class AdmissionController:
                 alpha * service_s + (1.0 - alpha) * self.service_estimate_s
             )
 
-    @property
-    def has_queue_space(self) -> bool:
-        return self.queued < self.queue_depth
-
     def __repr__(self) -> str:
         return (
             f"AdmissionController(inflight={self.inflight}/{self.max_inflight}, "

@@ -123,19 +123,27 @@ def _json_body(payload: Dict[str, Any]) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _json_response(
+def _response(
     status: int,
-    payload: Dict[str, Any],
+    body: bytes,
+    content_type: str,
     extra_headers: Tuple[Tuple[str, str], ...] = (),
 ) -> HttpResponse:
-    body = _json_body(payload)
     headers = [
-        ("Content-Type", "application/json"),
+        ("Content-Type", content_type),
         ("Content-Length", str(len(body))),
         ("Connection", "close"),
     ]
     headers.extend(extra_headers)
     return HttpResponse(status, headers=Headers(headers), body=body)
+
+
+def _json_response(
+    status: int,
+    payload: Dict[str, Any],
+    extra_headers: Tuple[Tuple[str, str], ...] = (),
+) -> HttpResponse:
+    return _response(status, _json_body(payload), "application/json", extra_headers)
 
 
 def _retry_after_header(retry_after_s: float) -> Tuple[str, str]:
@@ -316,17 +324,7 @@ class AnalysisService:
     def _metrics_response(self) -> HttpResponse:
         self.refresh_gauges()
         body = self.metrics.to_prometheus().encode("utf-8")
-        return HttpResponse(
-            StatusCode.OK,
-            headers=Headers(
-                [
-                    ("Content-Type", "text/plain; version=0.0.4"),
-                    ("Content-Length", str(len(body))),
-                    ("Connection", "close"),
-                ]
-            ),
-            body=body,
-        )
+        return _response(StatusCode.OK, body, "text/plain; version=0.0.4")
 
     def refresh_gauges(self) -> None:
         """Bring point-in-time gauges up to date before an export."""

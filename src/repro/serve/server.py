@@ -10,9 +10,11 @@
   protocol.
 
 DoS posture at this layer: a read timeout kills slowloris connections,
-``readuntil`` with a byte limit caps header blocks, ``Content-Length``
-is checked *before* the body is read, and every batch request passes
-through admission control before any JSON is parsed.
+``readuntil`` with a byte limit caps header blocks, the head is framed
+once by :mod:`repro.http.wire` (a framing defect answers 400 naming it,
+a declared body over the cap 413 before any body byte is read), and
+every batch request passes through admission control before any JSON
+is parsed.
 
 Graceful drain (SIGTERM/SIGINT): stop accepting, flip ``/readyz`` to
 503, let in-flight and queued work finish or deadline out within
@@ -29,10 +31,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Deque, Dict, Optional, Union
 
 from repro.errors import MessageError
-from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
-from repro.http.wire import parse_request
+from repro.http.wire import HEADER_END, body_length, build_request, parse_head
+
+# Unused here, but perfbench's tests resolve it on this module.
+from repro.http.wire import parse_request  # noqa: F401
 from repro.serve.admission import ADMIT, ENQUEUE, AdmissionDecision
 from repro.serve.app import AnalysisService, _json_response
 
@@ -221,7 +225,7 @@ class ServeServer:
         """One request off the wire, or an error HttpResponse, or None."""
         try:
             head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT_S
+                reader.readuntil(HEADER_END), timeout=READ_TIMEOUT_S
             )
         except asyncio.IncompleteReadError:
             return None
@@ -230,36 +234,26 @@ class ServeServer:
                 StatusCode.REQUEST_HEADER_FIELDS_TOO_LARGE,
                 {"error": "request head too large or too slow"},
             )
-        # Peek at the header block for the body's framing *before*
-        # reading (and bounding) the body itself.
-        _, _, header_blob = head[:-4].partition(b"\r\n")
+        cap = self.service.config.max_body_bytes
         try:
-            headers = Headers.parse(header_blob + b"\r\n" if header_blob else b"")
-        except MessageError as exc:
-            return _json_response(
-                StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}
-            )
-        declared = headers.get_int("Content-Length")
-        body = b""
-        if declared is not None and declared > 0:
-            if declared > self.service.config.max_body_bytes:
+            start_line, headers = parse_head(head[: -len(HEADER_END)], "request")
+            length = body_length(headers, "request") or 0
+            if length > cap:
                 return _json_response(
                     StatusCode.PAYLOAD_TOO_LARGE,
-                    {
-                        "error": (
-                            f"body exceeds {self.service.config.max_body_bytes}"
-                            " bytes"
-                        )
-                    },
+                    {"error": f"body exceeds {cap} bytes"},
                 )
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(declared), timeout=READ_TIMEOUT_S
-                )
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError):
-                return None
-        try:
-            return parse_request(head + body)
+            body = b""
+            if length:
+                try:
+                    body = await asyncio.wait_for(
+                        reader.readexactly(length), timeout=READ_TIMEOUT_S
+                    )
+                except asyncio.IncompleteReadError as exc:
+                    body = exc.partial  # build_request names the shortfall
+                except asyncio.TimeoutError:
+                    return None
+            return build_request(start_line, headers, body, length)
         except MessageError as exc:
             return _json_response(
                 StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}

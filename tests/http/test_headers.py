@@ -54,19 +54,6 @@ class TestBasicOperations:
     def test_get_default(self):
         assert Headers().get("X-Nope", "fallback") == "fallback"
 
-    def test_get_int(self):
-        headers = Headers([("Content-Length", "42")])
-        assert headers.get_int("Content-Length") == 42
-
-    def test_get_int_missing_returns_default(self):
-        assert Headers().get_int("Content-Length") is None
-        assert Headers().get_int("Content-Length", 7) == 7
-
-    def test_get_int_malformed_raises(self):
-        headers = Headers([("Content-Length", "forty-two")])
-        with pytest.raises(HeaderError):
-            headers.get_int("Content-Length")
-
     def test_iteration_preserves_wire_order(self):
         items = [("B", "2"), ("A", "1"), ("C", "3")]
         assert Headers(items).items() == items
@@ -167,6 +154,24 @@ class TestParseAndCopy:
     def test_parse_malformed_line_raises(self):
         with pytest.raises(HeaderError):
             Headers.parse(b"no-colon-here\r\n")
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"Host : h\r\n",  # whitespace before the colon (RFC 9112 5.1)
+            b"Host\t: h\r\n",
+            b"Host: h\r\n folded\r\n",  # obs-fold continuation lines
+            b"Host: h\r\n\tfolded\r\n",
+            b" Host: h\r\n",
+            b"Host: a\nb\r\n",  # bare LF inside a value
+        ],
+    )
+    def test_parse_is_strict(self, blob):
+        with pytest.raises(HeaderError):
+            Headers.parse(blob)
+
+    def test_parse_trims_only_optional_whitespace(self):
+        assert Headers.parse(b"A:\t v \t\r\n").get("A") == "v"
 
     def test_copy_is_independent(self):
         original = Headers([("A", "1")])

@@ -147,6 +147,14 @@ class TestStrictLoader:
         with pytest.raises(RunLogError, match="'answered' must be int"):
             record_from_dict(payload)
 
+    def test_corrupt_sole_line_is_named_not_skipped(self, tmp_path):
+        # Without an intact record before it, a malformed last line is
+        # corruption, not a torn append.
+        path = tmp_path / "BENCH_runall.json"
+        path.write_text("not json at all", encoding="utf-8")
+        with pytest.raises(RunLogError, match=r"BENCH_runall\.json:1: .*not JSON"):
+            RunLedger(path).load()
+
     def test_int_accepted_where_float_expected(self):
         payload = _record().to_dict()
         payload["fastpath"]["hit_rate"] = 1

@@ -13,7 +13,10 @@ import json
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.http.headers import Headers
 from repro.serve.admission import ADMIT, ENQUEUE
 from repro.serve.app import AnalysisService, ServeConfig
 from repro.serve.server import ServeServer
@@ -223,6 +226,50 @@ class TestLoopResponsiveness:
             server.initiate_drain()
 
 
+#: Each head RFC 9112 framing refuses, with the status it must get and a
+#: fragment of the error the reply body must name.
+_HOSTILE_HEADS = [
+    (b"Content-Length: abc\r\n", 400, "'abc' is not 1-18 ASCII digits"),
+    (b"Content-Length: " + b"9" * 5000 + b"\r\n", 400, "is not 1-18 ASCII digits"),
+    (b"Content-Length: \xb2\r\n", 400, "is not 1-18 ASCII digits"),
+    (b"Content-Length: +2\r\n", 400, "'+2' is not 1-18 ASCII digits"),
+    (b"Content-Length: 4_7\r\n", 400, "'4_7' is not 1-18 ASCII digits"),
+    (b"Content-Length: -5\r\n", 400, "'-5' is not 1-18 ASCII digits"),
+    (b"Content-Length: 2\r\nContent-Length: 3\r\n", 400, "conflicting Content-Length"),
+    (b"Content-Length: 2, 3\r\n", 400, "conflicting Content-Length"),
+    (b"Transfer-Encoding: chunked\r\n", 400, "Transfer-Encoding is not supported"),
+    (b"nocolon\r\n", 400, "malformed header line"),
+    (b"ba d: 1\r\n", 400, "invalid character in header name 'ba d'"),
+    (b"Host : t\r\n", 400, "invalid character in header name 'Host '"),
+    (b"X-A: 1\r\n folded\r\n", 400, "obs-fold continuation line"),
+    (b"Content-Length: 1048576\r\n", 413, "body exceeds 1024 bytes"),
+]
+
+
+def _asyncio_errors(caplog):
+    return [r for r in caplog.records if r.name == "asyncio" and r.levelno >= 40]
+
+
+async def _half_closed_roundtrip(port, payload):
+    """Send ``payload``, close our sending side, read the whole reply."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(payload)
+    writer.write_eof()
+    raw = await reader.read()
+    writer.close()
+    return raw
+
+
+async def _serve_once(payload, roundtrip=raw_roundtrip):
+    server = ServeServer(AnalysisService(ServeConfig(max_body_bytes=1024)), port=0)
+    await server.start()
+    try:
+        # Well inside READ_TIMEOUT_S: a framing error is answered at once.
+        return await asyncio.wait_for(roundtrip(server.port, payload), timeout=3.0)
+    finally:
+        server.initiate_drain()
+
+
 class TestWireGuards:
     def test_bad_and_hostile_inputs(self):
         asyncio.run(self._scenario())
@@ -251,6 +298,88 @@ class TestWireGuards:
             assert parse_head(raw)[0] == 200
         finally:
             server.initiate_drain()
+
+    @pytest.mark.parametrize(
+        "fields, status, named",
+        _HOSTILE_HEADS,
+        ids=[fields[:24].decode("latin-1") for fields, _, _ in _HOSTILE_HEADS],
+    )
+    def test_hostile_head_gets_a_4xx_naming_the_defect(
+        self, fields, status, named, caplog
+    ):
+        payload = b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n" + fields + b"\r\n"
+        raw = asyncio.run(_serve_once(payload))
+        assert parse_head(raw)[0] == status
+        assert named in json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+        assert _asyncio_errors(caplog) == []
+
+    def test_body_short_of_its_length_gets_a_400(self):
+        payload = analyze_payload([{"vendor": "akamai"}])[:-3]
+        raw = asyncio.run(_serve_once(payload, _half_closed_roundtrip))
+        assert parse_head(raw)[0] == 400
+        assert b"body bytes are present" in raw
+
+    def test_each_request_head_is_parsed_once(self, monkeypatch):
+        calls = []
+        original = Headers.parse.__func__
+
+        def counting_parse(cls, blob):
+            calls.append(blob)
+            return original(cls, blob)
+
+        monkeypatch.setattr(Headers, "parse", classmethod(counting_parse))
+        for payload in (
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+            analyze_payload([{"vendor": "akamai"}]),
+        ):
+            calls.clear()
+            raw = asyncio.run(_serve_once(payload))
+            assert parse_head(raw)[0] == 200
+            assert len(calls) == 1
+
+    @given(
+        request_line=st.sampled_from(
+            [b"GET /healthz HTTP/1.1", b"POST /v1/analyze HTTP/1.1"]
+        ),
+        fields=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from([b"Content-Length", b"content-length"]),
+                    st.one_of(
+                        st.binary(max_size=24),
+                        st.integers(-5, 4096).map(lambda n: str(n).encode()),
+                        st.from_regex(rb"\A[0-9 ,+_-]{0,24}\Z"),
+                    ),
+                ),
+                st.tuples(
+                    st.just(b"Transfer-Encoding"),
+                    st.sampled_from([b"chunked", b"identity", b""]),
+                ),
+                st.tuples(
+                    st.sampled_from([b"ba d", b"Host ", b" X-Fold", b"\tX", b""]),
+                    st.just(b"1"),
+                ),
+                st.tuples(st.just(b"Host"), st.just(b"t")),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_head_gets_a_reply_and_never_a_5xx(self, request_line, fields, caplog):
+        head = b"".join(name + b": " + value + b"\r\n" for name, value in fields)
+        # No body follows, so whatever length the head declares, the
+        # half-close ends the body early and must still get an answer.
+        # (A body the server never reads would turn its close into a
+        # reset that can swallow the reply.)
+        payload = request_line + b"\r\n" + head + b"\r\n"
+        raw = asyncio.run(_serve_once(payload, _half_closed_roundtrip))
+        assert raw, f"no reply to {payload!r}"
+        assert parse_head(raw)[0] // 100 in (2, 4), raw
+        assert _asyncio_errors(caplog) == []
 
 
 class TestDrain:
