@@ -19,8 +19,7 @@ Two independent passes (ISSUE 3):
   (wall clock, global RNG, ``id()``, env reads, set iteration) to a
   determinism sink (checkpoint journal, canonical run-record
   serialization, exporters, artifact writers) that is not laundered
-  through a declared facade.  Backs ``repro purity`` and
-  ``repro lint --deep``.
+  through a declared facade.  Backs ``repro purity``.
 * **Defense recommendations** — :func:`~repro.analysis.recommend.recommend`
   turns the findings into the cheapest sufficient mitigation per
   vulnerable vendor/cascade, with residual bounds and dynamic

@@ -22,18 +22,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
+from repro.analysis.classify import build_probe
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
-from repro.cdn.vendors.base import VendorContext, VendorProfile
+from repro.cdn.vendors.base import VendorProfile
 from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
 from repro.errors import (
     ConfigurationError,
     RangeNotSatisfiableError,
     RequestRejectedError,
 )
+from repro.core.obr import (
+    exploited_fcdn_config,
+    exploited_leading_spec,
+    largest_admitted,
+)
 from repro.http.grammar import overlapping_open_ranges_value
-from repro.http.message import HttpRequest
 from repro.http.ranges import RangeSpecifier, try_parse_range_header
 from repro.netsim.overhead import NullOverheadModel, OverheadModel, TcpOverheadModel
 
@@ -234,15 +239,7 @@ def _decision_fetch(
         # Open/suffix/multi shapes fall through to the lazy base flow.
         return _lazy_payload_fetch(spec, resource_size)
 
-    request = HttpRequest(
-        "GET",
-        "/target.bin",
-        headers=[("Host", "victim.example"), ("Range", range_value)],
-    )
-    ctx = VendorContext(
-        config=profile.effective_config(), resource_size_hint=resource_size
-    )
-    decision = profile.forward_decision(request, spec, ctx)
+    decision = build_probe(profile, range_value, resource_size).decide(profile, spec)
     if decision.forwarded_range is None:
         # Deletion: the origin ships the full representation.
         return _Fetch(payload_upper=resource_size)
@@ -443,31 +440,14 @@ def static_max_n(
         return _static_max_n_default(
             fcdn, bcdn, resource_size, resource_path, host, lower, upper
         )
-
-    def admits(n: int) -> bool:
-        return _static_probe(
-            fcdn,
-            bcdn,
-            n,
-            resource_size,
-            resource_path,
-            host,
-            fcdn_profile=fcdn_profile,
-            bcdn_profile=bcdn_profile,
-        )
-
-    if not admits(lower):
-        return 0
-    if admits(upper):
-        return upper
-    low, high = lower, upper  # admits(low), not admits(high)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if admits(middle):
-            low = middle
-        else:
-            high = middle
-    return low
+    return largest_admitted(
+        lambda n: _static_probe(
+            fcdn, bcdn, n, resource_size, resource_path, host,
+            fcdn_profile=fcdn_profile, bcdn_profile=bcdn_profile,
+        ),
+        lower,
+        upper,
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -480,21 +460,11 @@ def _static_max_n_default(
     lower: int,
     upper: int,
 ) -> int:
-    def admits(n: int) -> bool:
-        return _static_probe(fcdn, bcdn, n, resource_size, resource_path, host)
-
-    if not admits(lower):
-        return 0
-    if admits(upper):
-        return upper
-    low, high = lower, upper  # admits(low), not admits(high)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if admits(middle):
-            low = middle
-        else:
-            high = middle
-    return low
+    return largest_admitted(
+        lambda n: _static_probe(fcdn, bcdn, n, resource_size, resource_path, host),
+        lower,
+        upper,
+    )
 
 
 def _static_probe(
@@ -508,32 +478,27 @@ def _static_probe(
     bcdn_profile: Optional[ProfileFactory] = None,
 ) -> bool:
     """Would a request with ``overlap_count`` ranges survive end-to-end?"""
-    from repro.core.obr import exploited_fcdn_config, exploited_leading_spec
-
     range_value = overlapping_open_ranges_value(
         overlap_count, leading=exploited_leading_spec(fcdn)
     )
-    request = HttpRequest(
-        "GET", resource_path, headers=[("Host", host), ("Range", range_value)]
-    )
-
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
-    config = exploited_fcdn_config(fcdn)
-    ctx = VendorContext(
-        config=config if config is not None else front.effective_config(),
-        resource_size_hint=resource_size,
+    probe = build_probe(
+        front,
+        range_value,
+        resource_size,
+        exploited_fcdn_config(fcdn),
+        path=resource_path,
+        host=host,
     )
     try:
-        front.limits.check(request)
+        front.limits.check(probe.request)
     except RequestRejectedError:
         return False
-    decision = front.forward_decision(
-        request, try_parse_range_header(range_value), ctx
-    )
+    decision = probe.decide(front)
     if decision.forwarded_range != range_value:
         return False
 
-    upstream = front.build_upstream_request(request, decision)
+    upstream = front.build_upstream_request(probe.request, decision)
     back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
     try:
         back.limits.check(upstream)

@@ -64,8 +64,7 @@ _ORDER_INSENSITIVE = frozenset(
 #: Consumers that materialize iteration order into an ordered value.
 _ORDER_MATERIALIZING = frozenset({"list", "tuple"})
 
-#: Binding-name suffixes that denote byte counts (mirrors the lint
-#: rule ``float-byte-arith``).
+#: Binding-name suffixes that denote byte counts.
 _BYTE_NAME_SUFFIXES = ("_bytes", "_size", "_traffic")
 
 
@@ -227,6 +226,31 @@ def _index_imports(index: _ModuleIndex, is_package: bool) -> None:
                     continue
                 bound = alias.asname if alias.asname is not None else alias.name
                 index.imports[bound] = f"{base}.{alias.name}"
+
+
+def float_byte_names(
+    node: Union[ast.Assign, ast.AnnAssign, ast.AugAssign],
+) -> List[str]:
+    """The byte-count names (``*_bytes``, ``*_size``, ``*_traffic``) that
+    ``node`` assigns a true division to — the ``float-byte-arith`` lint
+    rule and the purity analysis's float-byte source both read this."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+        divides = True
+    else:
+        divides = node.value is not None and any(
+            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+            for sub in ast.walk(node.value)
+        )
+    if not divides:
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    names = []
+    for target in targets:
+        if isinstance(target, ast.Name):
+            names.append(target.id)
+        elif isinstance(target, ast.Attribute):
+            names.append(target.attr)
+    return [name for name in names if name.endswith(_BYTE_NAME_SUFFIXES)]
 
 
 #: Annotation wrappers to unwrap when looking for the instance type.
@@ -611,35 +635,17 @@ class _FunctionWalker(ast.NodeVisitor):
 
     # -- assignments: type/set tracking + float-byte fact ---------------
 
-    @staticmethod
-    def _byte_named(target: ast.expr) -> bool:
-        name: Optional[str] = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        return name is not None and name.endswith(_BYTE_NAME_SUFFIXES)
-
-    @staticmethod
-    def _contains_true_div(node: ast.expr) -> bool:
-        return any(
-            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
-            for sub in ast.walk(node)
-        )
-
     def _check_float_byte(
-        self, targets: Sequence[ast.expr], value: Optional[ast.expr], line: int
+        self, node: Union[ast.Assign, ast.AnnAssign, ast.AugAssign]
     ) -> None:
-        if value is None or not self._contains_true_div(value):
-            return
-        if any(self._byte_named(target) for target in targets):
-            self.float_byte_divisions.append(line)
+        if float_byte_names(node):
+            self.float_byte_divisions.append(node.lineno)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._note_set_binding(target, node.value)
             self._note_type_binding(target, node.value)
-        self._check_float_byte(node.targets, node.value, node.lineno)
+        self._check_float_byte(node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -654,14 +660,11 @@ class _FunctionWalker(ast.NodeVisitor):
                     break
             self._note_set_binding(node.target, node.value)
             self._note_type_binding(node.target, node.value)
-        self._check_float_byte([node.target], node.value, node.lineno)
+        self._check_float_byte(node)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.op, ast.Div) and self._byte_named(node.target):
-            self.float_byte_divisions.append(node.lineno)
-        else:
-            self._check_float_byte([node.target], node.value, node.lineno)
+        self._check_float_byte(node)
         self.generic_visit(node)
 
     # -- env reads ------------------------------------------------------

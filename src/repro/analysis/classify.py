@@ -1,10 +1,14 @@
 """Static vulnerability classification from vendor configuration.
 
-Every answer here is derived by interrogating a vendor profile's *pure*
-decision surface — :meth:`~repro.cdn.vendors.base.VendorProfile.forward_decision`,
-the multi-range reply behavior, the stateful second-request policy, and
-the ``amplifies_via_fetch_flow`` flag — the way the behavior matrix
-(:mod:`repro.cdn.vendors.matrix`) does.  No deployment is wired, no
+This module is the one place outside the CDN pipeline that asks a vendor
+profile for its forwarding decision: :func:`build_probe` builds the probe
+request and the :class:`~repro.cdn.vendors.base.VendorContext` it is
+decided in, and every static reader — the classifiers below, the
+``repro matrix`` table and the closed-form bounds of
+:mod:`repro.analysis.bounds` — goes through it.  Answers come from a
+profile's *pure* decision surface — ``forward_decision``, the
+multi-range reply behavior, the stateful second-request policy, and the
+``amplifies_via_fetch_flow`` flag.  No deployment is wired, no
 connection is opened, no ledger records a byte: this is the "audit the
 config, not the wire" pass the paper performs analytically in §IV before
 measuring anything.
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Type, Union
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
-from repro.cdn.policy import ForwardPolicy
+from repro.cdn.policy import ForwardDecision, ForwardPolicy
 from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.base import (
     EncodingPolicy,
@@ -35,7 +39,7 @@ from repro.cdn.vendors.base import (
     VendorProfile,
 )
 from repro.http.message import HttpRequest
-from repro.http.ranges import try_parse_range_header
+from repro.http.ranges import RangeSpecifier, try_parse_range_header
 
 #: Builds a fresh profile per probe (profiles are stateful).  Passing one
 #: lets every classification run against a wrapped/mitigated profile
@@ -62,6 +66,51 @@ MULTI_RANGE_SHAPES: Tuple[str, ...] = (
 #: every size threshold the profiles encode (Azure's 8 MB, Huawei's
 #: 10 MB).
 DEFAULT_PROBE_SIZES: Tuple[int, ...] = (1 * MB, 25 * MB)
+
+
+#: Target and Host of a probe request; only a caller whose verdict
+#: depends on the request's size (the max-n search) passes its own.
+PROBE_PATH = "/probe.bin"
+PROBE_HOST = "victim.example"
+
+
+@dataclass(frozen=True)
+class Probe:
+    """One probe request and the context a profile decides it in."""
+
+    request: HttpRequest
+    context: VendorContext
+
+    def decide(
+        self, profile: VendorProfile, spec: Optional[RangeSpecifier] = None
+    ) -> ForwardDecision:
+        """``profile``'s forwarding decision for the probe; ``spec`` spares
+        the re-parse when the caller already holds the parsed Range."""
+        if spec is None:
+            spec = try_parse_range_header(self.request.range_header)
+        return profile.forward_decision(self.request, spec, self.context)
+
+
+def build_probe(
+    profile: VendorProfile,
+    range_value: str,
+    resource_size: int,
+    config: Optional[VendorConfig] = None,
+    path: str = PROBE_PATH,
+    host: str = PROBE_HOST,
+) -> Probe:
+    """A GET for ``range_value``, decided under ``config`` (the profile's
+    own effective configuration when None) for a ``resource_size``-byte
+    representation."""
+    return Probe(
+        request=HttpRequest(
+            "GET", path, headers=[("Host", host), ("Range", range_value)]
+        ),
+        context=VendorContext(
+            config=config if config is not None else profile.effective_config(),
+            resource_size_hint=resource_size,
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -95,19 +144,8 @@ def probe_decision(
     profile_factory: Optional[ProfileFactory] = None,
 ) -> ProbeDecision:
     """Ask a fresh profile for its first-sighting forwarding decision."""
-    profile = profile_factory() if profile_factory is not None else create_profile(vendor)
-    ctx = VendorContext(
-        config=config if config is not None else profile.effective_config(),
-        resource_size_hint=resource_size,
-    )
-    decision = profile.forward_decision(
-        _probe_request(range_value), try_parse_range_header(range_value), ctx
-    )
-    return ProbeDecision(
-        range_value=range_value,
-        resource_size=resource_size,
-        policy=decision.policy,
-        forwarded_range=decision.forwarded_range,
+    return _decided(
+        vendor, range_value, resource_size, config, profile_factory, second=False
     )
 
 
@@ -120,15 +158,27 @@ def second_request_decision(
 ) -> ProbeDecision:
     """The decision for the *second identical* request on one profile
     instance (KeyCDN's second-sighting Deletion)."""
-    profile = profile_factory() if profile_factory is not None else create_profile(vendor)
-    ctx = VendorContext(
-        config=config if config is not None else profile.effective_config(),
-        resource_size_hint=resource_size,
+    return _decided(
+        vendor, range_value, resource_size, config, profile_factory, second=True
     )
-    request = _probe_request(range_value)
+
+
+def _decided(
+    vendor: str,
+    range_value: str,
+    resource_size: int,
+    config: Optional[VendorConfig],
+    profile_factory: Optional[ProfileFactory],
+    second: bool,
+) -> ProbeDecision:
+    """The decision one fresh profile makes on its first identical probe,
+    or on its ``second``."""
+    profile = profile_factory() if profile_factory is not None else create_profile(vendor)
+    probe = build_probe(profile, range_value, resource_size, config)
     spec = try_parse_range_header(range_value)
-    profile.forward_decision(request, spec, ctx)
-    decision = profile.forward_decision(request, spec, ctx)
+    decision = probe.decide(profile, spec)
+    if second:
+        decision = probe.decide(profile, spec)
     return ProbeDecision(
         range_value=range_value,
         resource_size=resource_size,
@@ -381,10 +431,3 @@ def classify_ccfc(
         min_ratio=min(ratios) if ratios else None,
     )
 
-
-def _probe_request(range_value: str) -> HttpRequest:
-    return HttpRequest(
-        "GET",
-        "/probe.bin",
-        headers=[("Host", "victim.example"), ("Range", range_value)],
-    )

@@ -39,8 +39,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.callgraph import float_byte_names
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
 from repro.cdn.vendors.base import SpecShape
@@ -70,9 +71,6 @@ WIRE_SCOPED_PACKAGES = ("core", "cdn", "netsim")
 _WIRE_SIZE_CALLS = frozenset(
     {"wire_size", "header_block_size", "request_line_size", "status_line_size"}
 )
-
-#: Binding-name suffixes that denote byte counts.
-_BYTE_NAME_SUFFIXES = ("_bytes", "_size", "_traffic")
 
 #: The only files allowed to catch ``Exception``: declared fault
 #: boundaries that contain arbitrary third-party failures —
@@ -358,57 +356,27 @@ class _Visitor(ast.NodeVisitor):
 
     # -- float-byte-arith ------------------------------------------------------
 
-    @staticmethod
-    def _byte_named(target: ast.expr) -> Optional[str]:
-        name: Optional[str] = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name is not None and name.endswith(_BYTE_NAME_SUFFIXES):
-            return name
-        return None
-
-    @staticmethod
-    def _contains_true_div(node: ast.expr) -> bool:
-        return any(
-            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
-            for sub in ast.walk(node)
-        )
-
-    def _check_byte_assign(self, targets: Iterable[ast.expr], value: Optional[ast.expr], node: ast.AST) -> None:
-        if value is None or not self._contains_true_div(value):
-            return
-        for target in targets:
-            name = self._byte_named(target)
-            if name is not None:
-                self._add(
-                    node,
-                    "float-byte-arith",
-                    f"true division assigned to byte count {name!r}; "
-                    "byte counts stay integral (use //)",
-                )
+    def _check_float_byte(
+        self, node: Union[ast.Assign, ast.AnnAssign, ast.AugAssign]
+    ) -> None:
+        for name in float_byte_names(node):
+            self._add(
+                node,
+                "float-byte-arith",
+                f"true division assigned to byte count {name!r}; "
+                "byte counts stay integral (use //)",
+            )
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        self._check_byte_assign(node.targets, node.value, node)
+        self._check_float_byte(node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._check_byte_assign([node.target], node.value, node)
+        self._check_float_byte(node)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.op, ast.Div):
-            name = self._byte_named(node.target)
-            if name is not None:
-                self._add(
-                    node,
-                    "float-byte-arith",
-                    f"true division assigned to byte count {name!r}; "
-                    "byte counts stay integral (use //)",
-                )
-        else:
-            self._check_byte_assign([node.target], node.value, node)
+        self._check_float_byte(node)
         self.generic_visit(node)
 
 

@@ -35,9 +35,8 @@ the evidence a reviewer needs to either fix the path or suppress it in
 stop matching anything are themselves findings (``unused-suppression``),
 so the suppression file can only shrink.
 
-Backing for ``repro purity`` / ``repro lint --deep`` (text, JSON, and
-SARIF 2.1.0 output) and the pytest repo-clean guard in
-``tests/analysis/test_purity.py``.
+Backing for ``repro purity`` (text, JSON, and SARIF 2.1.0 output) and
+the pytest repo-clean guard in ``tests/analysis/test_purity.py``.
 """
 
 from __future__ import annotations

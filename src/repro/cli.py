@@ -16,10 +16,9 @@ import argparse
 import math
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.purity import BaselineEntry
     from repro.reporting.artifacts import Artifact
 
 from repro.cdn.vendors import all_vendor_names, profile_class
@@ -215,16 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
-    lint.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program determinism (purity) analysis "
-             "over the installed repro package",
-    )
-    lint.add_argument(
-        "--baseline",
-        help="purity suppression baseline for --deep (default: "
-             "purity-baseline.toml when present in the working directory)",
-    )
 
     purity = commands.add_parser(
         "purity",
@@ -256,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=8437,
+        "--port", type=_ranged(int, 0, 65535), default=8437,
         help="listen port (0 picks a free one; printed at startup)",
     )
     serve.add_argument(
@@ -264,27 +253,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="threads in the pool that runs batches off the event loop",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=8,
+        "--max-inflight", type=_COUNT, default=8,
         help="concurrently running batch requests before queueing",
     )
     serve.add_argument(
-        "--queue-depth", type=int, default=16,
+        "--queue-depth", type=_ranged(int, 0), default=16,
         help="waiting-room size; beyond it requests are shed with 429",
     )
     serve.add_argument(
-        "--default-deadline-ms", type=int, default=2000,
+        "--default-deadline-ms", type=_COUNT, default=2000,
         help="per-request deadline when X-Deadline-Ms is absent",
     )
     serve.add_argument(
-        "--rate-capacity", type=float, default=256.0,
+        "--rate-capacity", type=_POSITIVE, default=256.0,
         help="token-bucket burst size for admission",
     )
     serve.add_argument(
-        "--rate-refill", type=float, default=0.0,
+        "--rate-refill", type=_NON_NEGATIVE, default=0.0,
         help="token-bucket refill per second (0 disables rate limiting)",
     )
     serve.add_argument(
-        "--drain-grace-s", type=float, default=10.0,
+        "--drain-grace-s", type=_NON_NEGATIVE, default=10.0,
         help="seconds SIGTERM waits for in-flight work before exiting",
     )
     serve.add_argument(
@@ -583,21 +572,38 @@ def _cmd_economics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_matrix() -> int:
-    from repro.cdn.vendors.matrix import PROBE_CASES, behavior_matrix
+#: ``repro matrix`` columns: label -> (Range value, resource size).
+#: Size-dependent vendors (Azure, Huawei) get both regimes.
+_MATRIX_SHAPES: Dict[str, Tuple[str, int]] = {
+    "first-last (small file)": ("bytes=0-0", 1 * MB),
+    "first-last (large file)": ("bytes=0-0", 25 * MB),
+    "first- (open)": ("bytes=5-", 1 * MB),
+    "-suffix (small file)": ("bytes=-1", 1 * MB),
+    "-suffix (large file)": ("bytes=-1", 25 * MB),
+    "multi closed disjoint": ("bytes=0-0,100-200", 1 * MB),
+    "multi open overlapping": ("bytes=0-,0-,0-", 1 * MB),
+    "suffix then open": ("bytes=-1024,0-,0-", 1 * MB),
+    "one then open": ("bytes=1-,0-,0-", 1 * MB),
+}
 
-    matrix = behavior_matrix()
-    shapes = list(PROBE_CASES)
+
+def _cmd_matrix() -> int:
+    from repro.analysis.classify import probe_decision
+
     short = {  # compact policy labels for the terminal
         "laziness": "lazy",
         "deletion": "DEL",
         "expansion": "EXP",
     }
     rows = [
-        [vendor] + [short[matrix[vendor][shape].policy.value] for shape in shapes]
-        for vendor in sorted(matrix)
+        [vendor]
+        + [
+            short[probe_decision(vendor, range_value, size).policy.value]
+            for range_value, size in _MATRIX_SHAPES.values()
+        ]
+        for vendor in sorted(all_vendor_names())
     ]
-    print(render_table(["vendor"] + shapes, rows))
+    print(render_table(["vendor"] + list(_MATRIX_SHAPES), rows))
     print("\nDEL/EXP single-range cells are the SBR surface (Table I); "
           "lazy multi-range cells are the OBR front-end surface (Table II).")
     return 0
@@ -1200,31 +1206,20 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     )  # pragma: no cover
 
 
-def _load_purity_baseline(
-    option: Optional[str],
-) -> Tuple[List["BaselineEntry"], Optional[str]]:
-    """Resolve the suppression baseline: an explicit ``--baseline`` must
-    exist (usage error otherwise); with no flag, ``purity-baseline.toml``
-    in the working directory is picked up when present."""
-    from pathlib import Path
-
-    from repro.analysis.purity import BASELINE_FILENAME, load_baseline
-
-    if option is not None:
-        return load_baseline(option), option
-    default = Path(BASELINE_FILENAME)
-    if default.is_file():
-        return load_baseline(default), str(default)
-    return [], None
-
-
 def _cmd_purity(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
     from repro.analysis import purity
 
-    entries, baseline_path = _load_purity_baseline(args.baseline)
+    # An explicit --baseline must exist (load_baseline raises a usage
+    # error); without one, the working directory's default is optional.
+    baseline_path = args.baseline
+    if baseline_path is None and Path(purity.BASELINE_FILENAME).is_file():
+        baseline_path = purity.BASELINE_FILENAME
+    entries = (
+        purity.load_baseline(baseline_path) if baseline_path is not None else []
+    )
     report = purity.analyze_tree(baseline=entries, baseline_path=baseline_path)
     if args.format == "sarif":
         rendered = purity.to_sarif_json(report)
@@ -1250,14 +1245,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import lint_paths, lint_repo
 
     findings = lint_paths(args.paths) if args.paths else lint_repo()
-    purity_report = None
-    if args.deep:
-        from repro.analysis import purity
-
-        entries, baseline_path = _load_purity_baseline(args.baseline)
-        purity_report = purity.analyze_tree(
-            baseline=entries, baseline_path=baseline_path
-        )
     if args.format == "json":
         payload = {
             "findings": [
@@ -1272,20 +1259,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             ],
             "count": len(findings),
         }
-        if purity_report is not None:
-            payload["purity"] = purity_report.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for finding in findings:
             print(finding)
         if findings:
             print(f"{len(findings)} finding(s)", file=sys.stderr)
-        if purity_report is not None:
-            from repro.analysis.purity import render_text
-
-            print(render_text(purity_report))
-    clean = not findings and (purity_report is None or purity_report.clean)
-    return 0 if clean else 1
+    return 0 if not findings else 1
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:

@@ -40,6 +40,30 @@ if TYPE_CHECKING:
     from repro.runner.grid import ExperimentGrid
 
 
+def largest_admitted(admits: Callable[[int], bool], lower: int, upper: int) -> int:
+    """The largest ``n`` in ``[lower, upper]`` that ``admits``, for a
+    predicate that admits every ``n`` below one it admits.
+
+    Returns 0 when even ``lower`` is refused and ``upper`` when it is
+    admitted; otherwise a binary search, which is how the paper probes
+    the header-limit boundary (§V-C): simulated by
+    :meth:`ObrAttack.find_max_n`, statically by
+    :func:`repro.analysis.bounds.static_max_n`.
+    """
+    if not admits(lower):
+        return 0
+    if admits(upper):
+        return upper
+    low, high = lower, upper  # admits(low), not admits(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if admits(middle):
+            low = middle
+        else:
+            high = middle
+    return low
+
+
 def exploited_fcdn_config(fcdn: str) -> Optional[VendorConfig]:
     """The front-CDN configuration the Table V setup uses.
 
@@ -171,18 +195,9 @@ class ObrAttack:
         (or the paper's authors) would probe the boundary.  Returns 0
         when even ``lower`` is rejected.
         """
-        if self.probe(lower) != StatusCode.PARTIAL_CONTENT:
-            return 0
-        if self.probe(upper) == StatusCode.PARTIAL_CONTENT:
-            return upper
-        low, high = lower, upper  # probe(low) ok, probe(high) rejected
-        while high - low > 1:
-            middle = (low + high) // 2
-            if self.probe(middle) == StatusCode.PARTIAL_CONTENT:
-                low = middle
-            else:
-                high = middle
-        return low
+        return largest_admitted(
+            lambda n: self.probe(n) == StatusCode.PARTIAL_CONTENT, lower, upper
+        )
 
     # -- measurement ---------------------------------------------------------------
 

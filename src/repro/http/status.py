@@ -14,6 +14,7 @@ class StatusCode(IntEnum):
     FORBIDDEN = 403
     NOT_FOUND = 404
     METHOD_NOT_ALLOWED = 405
+    REQUEST_TIMEOUT = 408
     PAYLOAD_TOO_LARGE = 413
     TOO_MANY_REQUESTS = 429
     REQUEST_HEADER_FIELDS_TOO_LARGE = 431
@@ -31,6 +32,7 @@ _REASONS = {
     StatusCode.FORBIDDEN: "Forbidden",
     StatusCode.NOT_FOUND: "Not Found",
     StatusCode.METHOD_NOT_ALLOWED: "Method Not Allowed",
+    StatusCode.REQUEST_TIMEOUT: "Request Timeout",
     StatusCode.PAYLOAD_TOO_LARGE: "Payload Too Large",
     StatusCode.TOO_MANY_REQUESTS: "Too Many Requests",
     StatusCode.REQUEST_HEADER_FIELDS_TOO_LARGE: "Request Header Fields Too Large",

@@ -35,21 +35,29 @@ def parse_head(head: bytes, kind: str) -> Tuple[str, Headers]:
         raise MessageError(f"malformed {kind} head: {exc}") from exc
 
 
+def decimal_value(text: str) -> Optional[int]:
+    """``text`` as an integer when it is 1-18 ASCII digits, else None.
+
+    The digit rule for numeric header values: bare ``int()`` also takes
+    signs, underscores, non-ASCII digits and surrounding whitespace.
+    """
+    return int(text) if _LENGTH.fullmatch(text) else None
+
+
 def body_length(headers: Headers, kind: str) -> Optional[int]:
     """The body length ``headers`` declare, or None without ``Content-Length``."""
     if "Transfer-Encoding" in headers:
         raise MessageError(f"{kind} Transfer-Encoding is not supported")
-    values = [
-        value.strip(" \t")
-        for field in headers.get_all("Content-Length")
-        for value in field.split(",")
-    ]
-    for value in values:
-        if _LENGTH.fullmatch(value) is None:
-            raise MessageError(
-                f"{kind} Content-Length {value[:24]!r} is not 1-18 ASCII digits"
-            )
-    lengths = {int(value) for value in values}
+    lengths = set()
+    for field in headers.get_all("Content-Length"):
+        for item in field.split(","):
+            value = item.strip(" \t")
+            length = decimal_value(value)
+            if length is None:
+                raise MessageError(
+                    f"{kind} Content-Length {value[:24]!r} is not 1-18 ASCII digits"
+                )
+            lengths.add(length)
     if len(lengths) > 1:
         raise MessageError(
             f"{kind} has conflicting Content-Length values {sorted(lengths)}"

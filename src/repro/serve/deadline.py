@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.http.wire import decimal_value
+
 #: Per-item marker placed in batch results for work the deadline killed.
 DEADLINE_EXCEEDED = "deadline_exceeded"
 
@@ -25,19 +27,18 @@ def resolve_deadline_ms(
 ) -> int:
     """Resolve a request's deadline budget in milliseconds.
 
-    The client's ``X-Deadline-Ms`` wins when it parses as a positive
-    integer; anything else (absent, garbage, zero, negative) falls back
-    to ``default_ms``.  Either way the result is clamped into
-    ``[1, max_ms]`` — a client can never buy more time than the server
-    is willing to spend on one request.
+    The client's ``X-Deadline-Ms`` wins when it is a positive integer of
+    1-18 ASCII digits (:func:`repro.http.wire.decimal_value`, the rule
+    ``Content-Length`` obeys); anything else (absent, garbage, zero,
+    signed, ``4_7``, non-ASCII digits) falls back to ``default_ms``.
+    Either way the result is clamped into ``[1, max_ms]`` — a client can
+    never buy more time than the server is willing to spend on one
+    request.
     """
     requested = default_ms
     if header_value is not None:
-        try:
-            parsed = int(header_value.strip())
-        except ValueError:
-            parsed = 0
-        if parsed > 0:
+        parsed = decimal_value(header_value.strip(" \t"))
+        if parsed:
             requested = parsed
     return max(1, min(requested, max_ms))
 

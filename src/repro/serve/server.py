@@ -9,7 +9,8 @@
   who is promoted, in what order), worker threads, and the drain
   protocol.
 
-DoS posture at this layer: a read timeout kills slowloris connections,
+DoS posture at this layer: a read timeout kills slowloris connections
+(a body still short at the timeout answers 408 naming the shortfall),
 ``readuntil`` with a byte limit caps header blocks, the head is framed
 once by :mod:`repro.http.wire` (a framing defect answers 400 naming it,
 a declared body over the cap 413 before any body byte is read), and
@@ -243,17 +244,19 @@ class ServeServer:
                     StatusCode.PAYLOAD_TOO_LARGE,
                     {"error": f"body exceeds {cap} bytes"},
                 )
-            body = b""
-            if length:
-                try:
-                    body = await asyncio.wait_for(
-                        reader.readexactly(length), timeout=READ_TIMEOUT_S
-                    )
-                except asyncio.IncompleteReadError as exc:
-                    body = exc.partial  # build_request names the shortfall
-                except asyncio.TimeoutError:
-                    return None
-            return build_request(start_line, headers, body, length)
+            body = bytearray()
+            try:
+                await asyncio.wait_for(
+                    _read_body(reader, body, length), timeout=READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                return _json_response(
+                    StatusCode.REQUEST_TIMEOUT,
+                    {"error": f"request body timed out after {len(body)} "
+                              f"of {length} bytes"},
+                )
+            # A body cut short by EOF: build_request names the shortfall.
+            return build_request(start_line, headers, bytes(body), length)
         except MessageError as exc:
             return _json_response(
                 StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}
@@ -334,6 +337,18 @@ class ServeServer:
                 continue
             admission.promote()
             future.set_result(None)
+
+
+async def _read_body(
+    reader: asyncio.StreamReader, body: bytearray, length: int
+) -> None:
+    """Append up to ``length`` bytes to ``body``, stopping early at EOF;
+    what arrived stays in ``body`` when a timeout cancels the read."""
+    while len(body) < length:
+        chunk = await reader.read(length - len(body))
+        if not chunk:
+            return
+        body += chunk
 
 
 async def serve_until_drained(

@@ -360,11 +360,6 @@ class TestCliContract:
         assert payload["count"] == 0
         assert payload["findings"] == []
 
-    def test_lint_deep_runs_purity(self, capsys):
-        assert main(["lint", "--deep", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["purity"]["clean"] is True
-
     def test_lint_findings_exit_one(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("def f(x):\n    return x\n", encoding="utf-8")

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bounds import profile_sbr_bound, sbr_bound
+from repro.analysis.classify import classify_sbr
 from repro.analysis.families import (
     COST_CONFIG_ONLY,
     OBR_MITIGATIONS,
@@ -38,7 +39,7 @@ from repro.analysis.recommend import (
     verify_recommendations,
 )
 from repro.analysis.report import analyze_vendor_matrix
-from repro.cdn.vendors.matrix import sbr_vulnerable_vendors
+from repro.cdn.vendors import all_vendor_names
 from repro.cli import main
 from repro.core.sbr import SbrAttack
 from repro.errors import ConfigurationError
@@ -48,6 +49,13 @@ MB = 1 << 20
 KB = 1 << 10
 
 SEVERITY_ORDER = ("critical", "high", "medium", "low", "info")
+
+
+def sbr_vulnerable_vendors():
+    return tuple(
+        vendor for vendor in sorted(all_vendor_names())
+        if classify_sbr(vendor).vulnerable
+    )
 
 
 @pytest.fixture(scope="module")

@@ -1,37 +1,64 @@
-"""Tests for the vendor behavior matrix — including the cross-check
-against the feasibility experiment's independent measurement path."""
+"""The vendor behavior matrix, read through ``repro.analysis.classify``:
+the ``repro matrix`` table, spot checks of single decisions, Table I/II
+membership, and the cross-check against the feasibility experiment's
+independent measurement path."""
+
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.classify import (
+    classify_obr_frontend,
+    classify_sbr,
+    frontend_requires_bypass,
+    probe_decision,
+    second_request_decision,
+)
 from repro.cdn.policy import ForwardPolicy
 from repro.cdn.vendors import all_vendor_names
-from repro.cdn.vendors.matrix import (
-    PROBE_CASES,
-    behavior_matrix,
-    obr_frontend_vendors,
-    sbr_vulnerable_vendors,
-    stateful_second_request_policies,
-)
+from repro.cli import main
 from repro.reporting.paper_values import PAPER_OBR_FRONTENDS, PAPER_SBR_VULNERABLE
+
+MB = 1 << 20
+
+#: ``repro matrix`` stdout, captured before the table moved onto
+#: ``classify.probe_decision``; regenerate only when a change means to
+#: move a vendor's decision.
+GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "matrix.txt"
+
+
+def sbr_vulnerable_vendors():
+    return {vendor for vendor in all_vendor_names() if classify_sbr(vendor).vulnerable}
+
+
+def obr_frontend_vendors(include_bypass=True):
+    return {
+        vendor
+        for vendor in all_vendor_names()
+        if classify_obr_frontend(vendor)
+        or (include_bypass and frontend_requires_bypass(vendor))
+    }
+
+
+def matrix_stdout(capsys):
+    assert main(["matrix"]) == 0
+    return capsys.readouterr().out
 
 
 class TestMatrixStructure:
-    def test_full_coverage(self):
-        matrix = behavior_matrix()
-        assert set(matrix) == set(all_vendor_names())
-        for row in matrix.values():
-            assert set(row) == set(PROBE_CASES)
+    def test_full_coverage(self, capsys):
+        assert matrix_stdout(capsys) == GOLDEN.read_text(encoding="utf-8")
 
-    def test_deterministic(self):
-        assert behavior_matrix() == behavior_matrix()
+    def test_deterministic(self, capsys):
+        assert matrix_stdout(capsys) == matrix_stdout(capsys)
 
 
 class TestPaperMembershipFromMatrix:
     def test_sbr_vulnerable_matches_table1(self):
-        assert sbr_vulnerable_vendors() == tuple(sorted(PAPER_SBR_VULNERABLE))
+        assert sbr_vulnerable_vendors() == set(PAPER_SBR_VULNERABLE)
 
     def test_obr_frontends_match_table2(self):
-        assert obr_frontend_vendors() == tuple(sorted(PAPER_OBR_FRONTENDS))
+        assert obr_frontend_vendors() == set(PAPER_OBR_FRONTENDS)
 
     def test_obr_frontends_without_bypass_excludes_cloudflare(self):
         assert "cloudflare" not in obr_frontend_vendors(include_bypass=False)
@@ -39,35 +66,41 @@ class TestPaperMembershipFromMatrix:
 
 class TestSpotChecks:
     def test_azure_size_dependence_visible(self):
-        matrix = behavior_matrix()
-        azure = matrix["azure"]
         # Azure deletes in both regimes (the dual-connection behavior is
         # a fetch-flow detail, not a decision-table one).
-        assert azure["first-last (small file)"].policy is ForwardPolicy.DELETION
+        for size in (1 * MB, 25 * MB):
+            decision = probe_decision("azure", "bytes=0-0", size)
+            assert decision.policy is ForwardPolicy.DELETION
 
     def test_huawei_size_dependence_visible(self):
-        huawei = behavior_matrix()["huawei"]
-        assert huawei["-suffix (small file)"].policy is ForwardPolicy.DELETION
-        assert huawei["-suffix (large file)"].policy is ForwardPolicy.LAZINESS
-        assert huawei["first-last (large file)"].policy is ForwardPolicy.DELETION
-        assert huawei["first-last (small file)"].policy is ForwardPolicy.LAZINESS
+        def policy(range_value, size):
+            return probe_decision("huawei", range_value, size).policy
+
+        assert policy("bytes=-1", 1 * MB) is ForwardPolicy.DELETION
+        assert policy("bytes=-1", 25 * MB) is ForwardPolicy.LAZINESS
+        assert policy("bytes=0-0", 25 * MB) is ForwardPolicy.DELETION
+        assert policy("bytes=0-0", 1 * MB) is ForwardPolicy.LAZINESS
 
     def test_cloudfront_expansion_values(self):
-        cloudfront = behavior_matrix()["cloudfront"]
-        cell = cloudfront["first-last (small file)"]
-        assert cell.policy is ForwardPolicy.EXPANSION
-        assert cell.forwarded_range == "bytes=0-1048575"
+        decision = probe_decision("cloudfront", "bytes=0-0", 1 * MB)
+        assert decision.policy is ForwardPolicy.EXPANSION
+        assert decision.forwarded_range == "bytes=0-1048575"
 
     def test_keycdn_stateful_quirk(self):
-        second = stateful_second_request_policies()
-        assert second["keycdn"] is ForwardPolicy.DELETION
+        def second(vendor):
+            return second_request_decision(vendor, "bytes=0-0", 1 * MB).policy
+
+        assert probe_decision("keycdn", "bytes=0-0", 1 * MB).policy is (
+            ForwardPolicy.LAZINESS
+        )
+        assert second("keycdn") is ForwardPolicy.DELETION
         # Stateless vendors give the same answer twice.
-        assert second["gcore"] is ForwardPolicy.DELETION
-        assert second["tencent"] is ForwardPolicy.DELETION
+        assert second("gcore") is ForwardPolicy.DELETION
+        assert second("tencent") is ForwardPolicy.DELETION
 
 
 class TestCrossValidationAgainstFeasibility:
-    """The matrix (decision-level) and the feasibility probe
+    """The classifier (decision-level) and the feasibility probe
     (traffic-level) must classify identically — two measurement paths,
     one truth."""
 
@@ -79,8 +112,8 @@ class TestCrossValidationAgainstFeasibility:
 
     def test_sbr_membership_agrees(self, feasibility):
         from_probe = {v for v, r in feasibility.items() if r.sbr_vulnerable}
-        assert from_probe == set(sbr_vulnerable_vendors())
+        assert from_probe == sbr_vulnerable_vendors()
 
     def test_fcdn_membership_agrees(self, feasibility):
         from_probe = {v for v, r in feasibility.items() if r.obr_fcdn_vulnerable}
-        assert from_probe == set(obr_frontend_vendors())
+        assert from_probe == obr_frontend_vendors()

@@ -8,11 +8,52 @@ for Azure): the paper's absolute factors embed its testbed's TCP framing.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.obr import ObrAttack, exploited_leading_spec, vulnerable_combinations
+from repro.core.obr import (
+    ObrAttack,
+    exploited_leading_spec,
+    largest_admitted,
+    vulnerable_combinations,
+)
 from repro.errors import ConfigurationError
 from repro.netsim.overhead import NullOverheadModel
 from repro.reporting.paper_values import PAPER_TABLE5
+
+
+class TestLargestAdmitted:
+    """The one max-n search agrees with a linear scan on every monotone
+    predicate: admits(n) holds exactly for n <= threshold."""
+
+    @given(
+        lower=st.integers(0, 300),
+        span=st.integers(0, 300),
+        threshold=st.integers(-5, 700),
+    )
+    def test_matches_a_linear_scan(self, lower, span, threshold):
+        upper = lower + span
+        calls = []
+
+        def admits(n):
+            calls.append(n)
+            return n <= threshold
+
+        admitted = [n for n in range(lower, upper + 1) if n <= threshold]
+        expected = admitted[-1] if admitted else 0
+        assert largest_admitted(admits, lower, upper) == expected
+        assert all(lower <= n <= upper for n in calls)
+
+    def test_lower_rejected_gives_zero(self):
+        assert largest_admitted(lambda n: n < 2, 2, 32768) == 0
+
+    def test_upper_admitted_gives_upper(self):
+        assert largest_admitted(lambda n: True, 2, 32768) == 32768
+
+    def test_probes_logarithmically_many_points(self):
+        calls = []
+        largest_admitted(lambda n: calls.append(n) or n <= 10922, 2, 32768)
+        assert len(calls) <= 2 + 15
 
 
 class TestCombinations:

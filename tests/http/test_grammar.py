@@ -5,12 +5,12 @@ import pytest
 from repro.http.grammar import (
     RangeCorpusGenerator,
     RangeFormat,
-    max_overlapping_ranges_for_value_size,
     obr_value_size,
     overlapping_open_ranges_value,
     single_range_value,
     suffix_range_value,
 )
+from repro.core.obr import largest_admitted
 from repro.http.ranges import parse_range_header
 
 
@@ -51,7 +51,9 @@ class TestAttackBuilders:
     @pytest.mark.parametrize("limit", [10, 16, 100, 16384, 32768])
     @pytest.mark.parametrize("leading", [None, "-1024", "1-"])
     def test_max_for_value_size_is_tight(self, limit, leading):
-        n = max_overlapping_ranges_for_value_size(limit, leading=leading)
+        n = largest_admitted(
+            lambda count: obr_value_size(count, leading=leading) <= limit, 1, limit
+        )
         if n == 0:
             assert obr_value_size(1, leading=leading) > limit
             return

@@ -24,6 +24,14 @@ class TestResolveDeadlineMs:
         assert resolve_deadline_ms("-5", 2000, 20000) == 2000
         assert resolve_deadline_ms("0", 2000, 20000) == 2000
 
+    @pytest.mark.parametrize(
+        "value", ["4_7", "+50", "\u0663\u0660\u0660", "9" * 5000],
+        ids=["underscore", "plus-sign", "arabic-indic-digits", "5000-digits"],
+    )
+    def test_only_ascii_digits_are_read(self, value):
+        # int() takes every one of these; the wire digit rule takes none.
+        assert resolve_deadline_ms(value, 2000, 20000) == 2000
+
     def test_result_is_always_at_least_one_ms(self):
         assert resolve_deadline_ms("1", 2000, 20000) == 1
         assert resolve_deadline_ms(None, 1, 20000) == 1

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.http.headers import Headers
 from repro.serve.admission import ADMIT, ENQUEUE
 from repro.serve.app import AnalysisService, ServeConfig
+from repro.serve import server as server_module
 from repro.serve.server import ServeServer
 
 KB = 1024
@@ -318,6 +319,19 @@ class TestWireGuards:
         raw = asyncio.run(_serve_once(payload, _half_closed_roundtrip))
         assert parse_head(raw)[0] == 400
         assert b"body bytes are present" in raw
+
+    def test_slow_body_gets_a_408_naming_the_shortfall(self, monkeypatch, caplog):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        payload = (
+            b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 10\r\n\r\n{}"
+        )
+        # raw_roundtrip keeps its sending side open: the body stalls.
+        raw = asyncio.run(_serve_once(payload))
+        assert parse_head(raw)[0] == 408
+        error = json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+        assert "after 2 of 10 bytes" in error
+        assert _asyncio_errors(caplog) == []
 
     def test_each_request_head_is_parsed_once(self, monkeypatch):
         calls = []

@@ -146,6 +146,19 @@ class TestReport:
         ["obs", "diff", "0", "1", "--factor-tolerance", "inf"],
         ["obs", "top", "-n", "-3"],
         ["obs", "runs", "--limit", "0"],
+        ["serve", "--max-inflight", "0"],
+        ["serve", "--max-inflight", "nan"],
+        ["serve", "--queue-depth", "-3"],
+        ["serve", "--default-deadline-ms", "0"],
+        ["serve", "--default-deadline-ms", "-5"],
+        ["serve", "--port", "-1"],
+        ["serve", "--port", "65536"],
+        ["serve", "--rate-capacity", "0"],
+        ["serve", "--rate-capacity", "inf"],
+        ["serve", "--rate-refill", "-1"],
+        ["serve", "--rate-refill", "nan"],
+        ["serve", "--drain-grace-s", "-1"],
+        ["serve", "--drain-grace-s", "inf"],
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
